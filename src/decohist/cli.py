@@ -2,7 +2,8 @@
 
 ``decohist check <scenario.yaml>`` parses a scenario, runs its checks, prints
 a report and exits 0 when every requested check passes, 1 when any check
-fails, 2 on error (bad file, invalid scenario, infeasible check). With
+fails, 2 on any error (unreadable or non-UTF-8 file, invalid scenario,
+infeasible check, or anything else that goes wrong). With
 ``--format structured`` errors are also reported as JSON on stdout so
 pipelines always get machine-readable output.
 """
@@ -13,7 +14,6 @@ import argparse
 import json
 import sys
 
-from .errors import DecohistError
 from .scenario import emit_report, parse_scenario, run_scenario, with_overrides
 
 
@@ -54,14 +54,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with open(args.scenario, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        _emit_error(exc, args.format)
-        return 2
-    try:
-        scenario = parse_scenario(text)
+            source = handle.read()
         scenario = with_overrides(
-            scenario,
+            parse_scenario(source),
             tol=args.tol,
             subsets=args.subsets,
             shots=args.shots,
@@ -70,10 +65,11 @@ def main(argv: list[str] | None = None) -> int:
             budget=args.budget,
         )
         report = run_scenario(scenario)
-    except DecohistError as exc:
+        text = emit_report(report, args.format)
+    except Exception as exc:  # the exit contract: every error is exit 2
         _emit_error(exc, args.format)
         return 2
-    sys.stdout.write(emit_report(report, args.format))
+    sys.stdout.write(text)
     return 0 if all(report.verdicts()) else 1
 
 

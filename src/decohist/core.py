@@ -152,6 +152,69 @@ class Instrument:
             raise ValidationError(f"instrument has no outcome labeled {label!r}")
         return out
 
+    # Derived structure, computed on first use and cached on the instance so
+    # it lives exactly as long as the instrument does. The payloads are small
+    # (diagonals and per-label weights) except for dense POVM stacks, which
+    # only arise for small dimensions in practice.
+
+    @functools.cached_property
+    def _label_groups(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """(label, effect positions) in canonical label order."""
+        groups: dict[str, list[int]] = {}
+        for k, e in enumerate(self.effects):
+            groups.setdefault(e.outcome_label, []).append(k)
+        return tuple((label, tuple(pos)) for label, pos in groups.items())
+
+    @functools.cached_property
+    def _diagonal_stack(self):
+        """(n_effects, dim) array of diagonals if every effect is exactly diagonal, else None."""
+        diags = []
+        for e in self.effects:
+            d = np.diagonal(e.matrix)
+            if not np.array_equal(e.matrix, np.diag(d)):
+                return None
+            diags.append(d)
+        out = np.array(diags)
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def _damping_matrix(self):
+        """G with (G)_{xy} = sum_e d_e(x) conj(d_e(y)) for all-diagonal instruments.
+
+        The measure-and-forget channel of such an instrument is the elementwise
+        product rho * G.
+        """
+        ds = self._diagonal_stack
+        if ds is None:
+            return None
+        g = np.einsum("ex,ey->xy", ds, ds.conj())
+        g.setflags(write=False)
+        return g
+
+    @functools.cached_property
+    def _povm_weights(self):
+        """(n_labels, dim) real weights w_mu(x) = sum_i |d_{mu i}(x)|^2, diagonal case only."""
+        ds = self._diagonal_stack
+        if ds is None:
+            return None
+        w = np.empty((len(self._label_groups), self.dim))
+        for row, (_, idxs) in enumerate(self._label_groups):
+            w[row] = np.sum(np.abs(ds[list(idxs)]) ** 2, axis=0)
+        w.setflags(write=False)
+        return w
+
+    @functools.cached_property
+    def _povm_dense(self) -> np.ndarray:
+        """(n_labels, dim, dim) stack of POVM elements E_mu = sum_i A'A."""
+        out = np.zeros((len(self._label_groups), self.dim, self.dim), dtype=np.complex128)
+        for row, (_, idxs) in enumerate(self._label_groups):
+            for k in idxs:
+                a = self.effects[k].matrix
+                out[row] += dagger(a) @ a
+        out.setflags(write=False)
+        return out
+
 
 def validate_density(m, tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
     """Validate Hermiticity, positivity and unit trace; report the violation."""
@@ -269,82 +332,9 @@ def state_statistics(rho: DensityMatrix, obs, tol: Tolerances = DEFAULT_TOLERANC
     return mean, float(np.sqrt(max(var, 0.0)))
 
 
-# ---------------------------------------------------------------------------
-# Cached per-instrument structure. Instruments are immutable and hashed by
-# identity, so caching on the instance is sound; the cached payloads are small
-# (diagonals and per-label weights) except for dense POVM stacks, which only
-# arise for small dimensions in practice.
-# ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _label_groups(inst: Instrument) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """(label, effect positions) in canonical label order."""
-    groups: dict[str, list[int]] = {}
-    for k, e in enumerate(inst.effects):
-        groups.setdefault(e.outcome_label, []).append(k)
-    return tuple((label, tuple(pos)) for label, pos in groups.items())
-
-
-@functools.lru_cache(maxsize=None)
-def _diagonal_stack(inst: Instrument):
-    """(n_effects, dim) array of diagonals if every effect is exactly diagonal, else None."""
-    diags = []
-    for e in inst.effects:
-        d = np.diagonal(e.matrix)
-        if not np.array_equal(e.matrix, np.diag(d)):
-            return None
-        diags.append(d)
-    out = np.array(diags)
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _damping_matrix(inst: Instrument):
-    """G with (G)_{xy} = sum_e d_e(x) conj(d_e(y)) for all-diagonal instruments.
-
-    The measure-and-forget channel of such an instrument is the elementwise
-    product rho * G.
-    """
-    ds = _diagonal_stack(inst)
-    if ds is None:
-        return None
-    g = np.einsum("ex,ey->xy", ds, ds.conj())
-    g.setflags(write=False)
-    return g
-
-
-@functools.lru_cache(maxsize=None)
-def _povm_weights(inst: Instrument):
-    """(n_labels, dim) real weights w_mu(x) = sum_i |d_{mu i}(x)|^2, diagonal case only."""
-    ds = _diagonal_stack(inst)
-    if ds is None:
-        return None
-    groups = _label_groups(inst)
-    w = np.empty((len(groups), inst.dim))
-    for row, (_, idxs) in enumerate(groups):
-        w[row] = np.sum(np.abs(ds[list(idxs)]) ** 2, axis=0)
-    w.setflags(write=False)
-    return w
-
-
-@functools.lru_cache(maxsize=None)
-def _povm_dense(inst: Instrument) -> np.ndarray:
-    """(n_labels, dim, dim) stack of POVM elements E_mu = sum_i A'A."""
-    groups = _label_groups(inst)
-    out = np.zeros((len(groups), inst.dim, inst.dim), dtype=np.complex128)
-    for row, (_, idxs) in enumerate(groups):
-        for k in idxs:
-            a = inst.effects[k].matrix
-            out[row] += dagger(a) @ a
-    out.setflags(write=False)
-    return out
-
-
 def apply_channel(inst: Instrument, x: np.ndarray) -> np.ndarray:
     """Measure-and-forget map: x -> sum_{mu i} A x A'."""
-    g = _damping_matrix(inst)
+    g = inst._damping_matrix
     if g is not None:
         return x * g
     out = np.zeros_like(x)
@@ -354,17 +344,20 @@ def apply_channel(inst: Instrument, x: np.ndarray) -> np.ndarray:
 
 
 def outcome_probabilities(inst: Instrument, x: np.ndarray) -> np.ndarray:
-    """tr(E_mu x) for each outcome label in canonical order (real parts)."""
-    w = _povm_weights(inst)
+    """tr(E_mu x) for each outcome label in canonical order (real parts).
+
+    ``x`` may be a stack of states; the label axis is last."""
+    w = inst._povm_weights
     if w is not None:
-        return w @ np.diagonal(x).real
-    return np.einsum("mij,ji->m", _povm_dense(inst), x).real
+        diag = np.diagonal(x, axis1=-2, axis2=-1).real
+        return np.matmul(w, diag[..., np.newaxis])[..., 0]
+    return np.einsum("mij,...ji->...m", inst._povm_dense, x).real
 
 
 def apply_outcome(inst: Instrument, label: str, x: np.ndarray) -> np.ndarray:
     """Unnormalized post-measurement state sum_i A_{mu i} x A'_{mu i} for label mu."""
-    ds = _diagonal_stack(inst)
-    idxs = dict(_label_groups(inst)).get(label)
+    ds = inst._diagonal_stack
+    idxs = dict(inst._label_groups).get(label)
     if idxs is None:
         raise ValidationError(f"instrument has no outcome labeled {label!r}")
     if ds is not None:

@@ -23,7 +23,6 @@ import numpy as np
 from . import core, histories
 from .core import DEFAULT_TOLERANCES, Effect, Instrument, Tolerances
 from .errors import (
-    BudgetExceeded,
     IncompleteInstrument,
     KentNotApplicable,
     NotHermitianEffects,
@@ -35,6 +34,8 @@ from .histories import (
     DecoherenceFunctional,
     HistorySpec,
     Step,
+    _check_budget,
+    _kraus_products,
     marginal_distribution,
     omitted_distribution,
 )
@@ -89,13 +90,10 @@ def check_weak(
     residuals = np.abs(functional.values.real).copy()
     np.fill_diagonal(residuals, 0.0)
     max_residual = float(residuals.max()) if functional.n_paths > 1 else 0.0
-    candidates = []
-    n = functional.n_paths
-    for a in range(n):
-        for b in range(a + 1, n):
-            # Re D is symmetric under swapping the pair, so report each once.
-            if residuals[a, b] > tol.decoherence:
-                candidates.append(((functional.paths[a], functional.paths[b]), float(residuals[a, b])))
+    # Re D is symmetric under swapping the pair, so report each once.
+    offenders = np.argwhere(np.triu(residuals > tol.decoherence, 1))
+    candidates = [((functional.paths[a], functional.paths[b]), float(residuals[a, b]))
+                  for a, b in offenders]
     return CriterionReport(
         criterion="weak",
         verdict=max_residual <= tol.decoherence,
@@ -244,56 +242,48 @@ def check_kent(
     root of the selected effects' squares and the spec's unitaries interleaved."""
     if kent is None:
         kent = KentSpec.from_history(spec, tol, policy)
-    n_selections = 1
-    for step in kent.steps:
-        n_selections *= len(step.subsets)
-    if n_selections > selection_budget:
-        raise BudgetExceeded(
-            f"{n_selections} Kent selections exceed budget {selection_budget}"
-        )
+    sizes = [len(step.subsets) for step in kent.steps]
+    _check_budget(sizes, selection_budget, "Kent selections")
     rho = spec.initial.matrix
-    dim = spec.dim
-
-    # Fine-grained diagonal d(i_1..i_n) = tr(C rho C') for single-index paths.
-    ops = [np.eye(dim, dtype=np.complex128)]
-    shape = []
     by_position = {step.position: step for step in kent.steps}
+    fine, coarse, indicators = [], [], []
     for pos, step in enumerate(spec.steps, 1):
-        u = step.unitary.matrix
-        ops = [u @ c for c in ops]
-        if step.instrument is not None:
-            kstep = by_position[pos]
-            ops = [b @ c for c in ops for b in kstep.effects]
-            shape.append(len(kstep.effects))
-    stack = np.array(ops)
-    left = stack @ rho
-    diag = np.einsum("aij,aij->a", left, stack.conj()).real.reshape(shape)
+        if step.instrument is None:
+            fine.append(None)
+            coarse.append(None)
+            continue
+        kstep = by_position[pos]
+        fine.append(np.array(kstep.effects))
+        coarse.append(np.array([
+            core.psd_sqrt(sum(kstep.effects[i] @ kstep.effects[i] for i in subset), tol)
+            for subset in kstep.subsets
+        ]))
+        indicator = np.zeros((len(kstep.subsets), len(kstep.effects)))
+        for row, subset in enumerate(kstep.subsets):
+            indicator[row, list(subset)] = 1.0
+        indicators.append(indicator)
 
-    sqrt_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-    for step in kent.steps:
-        for subset in step.subsets:
-            total = sum(step.effects[i] @ step.effects[i] for i in subset)
-            sqrt_cache[(step.position, subset)] = core.psd_sqrt(total, tol)
+    def weights(ops):
+        """tr(C rho C') for every operator in the stack."""
+        return np.einsum("aij,aij->a", ops @ rho, ops.conj()).real
 
-    candidates: list[tuple[tuple, float]] = []
-    max_residual = 0.0
-    for selection in itertools.product(*[step.subsets for step in kent.steps]):
-        op = np.eye(dim, dtype=np.complex128)
-        cursor = 0
-        for pos, step in enumerate(spec.steps, 1):
-            op = step.unitary.matrix @ op
-            if step.instrument is not None:
-                op = sqrt_cache[(kent.steps[cursor].position, selection[cursor])] @ op
-                cursor += 1
-        lhs = float(np.einsum("ij,jk,ik->", op, rho, op.conj()).real)
-        rhs = float(diag[np.ix_(*selection)].sum())
-        residual = abs(lhs - rhs)
-        max_residual = max(max_residual, residual)
+    # Right-hand sides: the fine-grained diagonal d(i_1..i_n) summed over each
+    # selection, one indicator contraction per step (each contracts the
+    # leading index and appends the selection index, so the result ends in
+    # selection order).
+    rhs = weights(_kraus_products(spec.steps, fine)).reshape([m.shape[1] for m in indicators])
+    for indicator in indicators:
+        rhs = np.tensordot(rhs, indicator, axes=([0], [1]))
+    residuals = np.abs(weights(_kraus_products(spec.steps, coarse)) - rhs.ravel())
+    max_residual = float(residuals.max())
+    candidates = []
+    for flat in np.flatnonzero(residuals > tol.decoherence):
+        selection = np.unravel_index(flat, sizes)
         location = tuple(
-            tuple(step.labels[i] for i in chosen)
-            for step, chosen in zip(kent.steps, selection)
+            tuple(step.labels[i] for i in step.subsets[j])
+            for step, j in zip(kent.steps, selection)
         )
-        candidates.append((location, residual))
+        candidates.append((location, float(residuals[flat])))
     notes = ()
     if policy == "singletons_plus_full":
         notes = ("singleton-plus-full selections only: partial check",)

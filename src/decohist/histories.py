@@ -18,6 +18,7 @@ reports all use that convention.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,23 +136,50 @@ def _enumerate_paths(instruments: list[Instrument]) -> tuple[tuple[OutcomePath, 
     return paths, labels
 
 
+def _check_budget(sizes, budget: int, what: str, pairs: bool = False) -> None:
+    """Refuse, before anything is allocated, a product of ``sizes`` (or its
+    square, for path pairs) above ``budget``."""
+    n = math.prod(sizes)
+    count = n * n if pairs else n
+    if count > budget:
+        shown = f"{n}^2 = {count}" if pairs else f"{n}"
+        raise BudgetExceeded(f"{shown} {what} exceed budget {budget}")
+
+
+def _kraus_products(steps: tuple[Step, ...], choices) -> np.ndarray:
+    """Stack of products O^n U_n ... O^1 U_1 taking one operator per listed step.
+
+    ``choices[j]`` is a (k, dim, dim) stack of candidates for step j + 1, or
+    None where only the unitary acts. Products are expanded level by level so
+    shared prefixes are computed once; the order (old index * k + new
+    operator) is the canonical product enumeration, last step fastest.
+    """
+    dim = steps[0].dim
+    ops = np.eye(dim, dtype=np.complex128)[np.newaxis]
+    for step, choice in zip(steps, choices):
+        ops = step.unitary.matrix @ ops
+        if choice is not None:
+            ops = (choice[np.newaxis] @ ops[:, np.newaxis]).reshape(-1, dim, dim)
+    return ops
+
+
 def path_operator(spec: HistorySpec, path: OutcomePath) -> np.ndarray:
     """C_alpha = A^n U_n ... A^1 U_1 for one outcome path."""
     measured = _measured_instruments(spec.steps)
     if len(path) != len(measured):
         raise PathMismatch(f"path length {len(path)} != measured steps {len(measured)}")
-    op = np.eye(spec.dim, dtype=np.complex128)
-    cursor = 0
+    entries = iter(path)
+    choices = []
     for step in spec.steps:
-        op = step.unitary.matrix @ op
+        match = None
         if step.instrument is not None:
-            label, index = path[cursor]
-            match = [e for e in step.instrument.effects
-                     if e.outcome_label == label and e.internal_index == index]
+            label, index = next(entries)
+            match = [e.matrix for e in step.instrument.effects
+                     if e.outcome_label == label and e.internal_index == index][:1]
             if not match:
                 raise PathMismatch(f"step has no effect ({label!r}, {index})")
-            op = match[0].matrix @ op
-            cursor += 1
+        choices.append(None if match is None else np.array(match))
+    op = _kraus_products(spec.steps, choices)[0]
     op.setflags(write=False)
     return op
 
@@ -166,44 +194,22 @@ def _functional_from_steps(
     as happens when every measured step is omitted: D is then the scalar [[1]])."""
     measured = _measured_instruments(steps)
     instruments = [inst for _, inst in measured]
-    positions = tuple(pos for pos, _ in measured)
-    n_paths = 1
-    for inst in instruments:
-        n_paths *= len(inst.effects)
-    if n_paths * n_paths > budget:
-        raise BudgetExceeded(
-            f"{n_paths}^2 = {n_paths * n_paths} path pairs exceed budget {budget}"
-        )
-    dim = initial.shape[0]
-    # Expand path operators level by level so shared prefixes are computed once.
-    # Expansion order (old index * k + new effect) matches the canonical
-    # product enumeration with the last step varying fastest.
-    ops = [np.eye(dim, dtype=np.complex128)]
-    for step in steps:
-        u = step.unitary.matrix
-        ops = [u @ c for c in ops]
-        if step.instrument is not None:
-            ops = [e.matrix @ c for c in ops for e in step.instrument.effects]
-    stack = np.array(ops)
+    _check_budget([len(inst.effects) for inst in instruments], budget, "path pairs", pairs=True)
+    effects = [None if s.instrument is None else np.array([e.matrix for e in s.instrument.effects])
+               for s in steps]
+    stack = _kraus_products(steps, effects)
     # D(a, b) = tr(C_a rho C_b') = sum_{ij} (C_a rho)_{ij} conj(C_b)_{ij};
     # each entry is an independent contraction, so evaluation order cannot
     # change results between serial and data-parallel runs.
-    left = stack @ initial
-    values = np.einsum("aij,bij->ab", left, stack.conj())
+    values = np.einsum("aij,bij->ab", stack @ initial, stack.conj())
     paths, labels = _enumerate_paths(instruments)
-
-    herm = float(np.max(np.abs(values - values.conj().T)))
-    if herm > tol.validation:
-        raise ValidationError(f"functional not Hermitian in paths: residual {herm:.3e}")
     diag = np.diagonal(values)
     if float(np.max(np.abs(diag.imag))) > tol.validation:
         raise ValidationError("functional diagonal has imaginary residual")
     if float(diag.real.min()) < -tol.validation:
         raise ValidationError("functional diagonal has negative entry")
-    total = float(diag.real.sum())
-    if abs(total - 1.0) > tol.validation:
-        raise ValidationError(f"functional diagonal sums to {total:.12g}, not 1")
-    return DecoherenceFunctional(paths=paths, values=values, positions=positions, labels=labels)
+    positions = tuple(pos for pos, _ in measured)
+    return _validated_functional(values, paths, labels, positions, tol)
 
 
 def decoherence_functional(
@@ -293,62 +299,23 @@ def marginal_functional(
 ) -> DecoherenceFunctional:
     """D summed over the outcomes at ``subset``, set equal on both sides.
 
-    Two independent routes are kept deliberately: ``channel`` composes the
-    measure-and-forget map at the marginalized steps; ``pathsum`` builds the
-    full functional and sums matching path pairs. Their agreement is a tested
-    invariant, not an implementation shortcut.
+    Two independent routes are kept deliberately: ``channel`` walks path-pair
+    states, applying the measure-and-forget map at the marginalized steps;
+    ``pathsum`` builds the full functional and sums matching path pairs. Their
+    agreement is a tested invariant, not an implementation shortcut.
     """
     positions = _normalize_subset(spec, subset)
-    if method == "channel":
-        return _marginal_by_channel(spec, positions, tol, budget)
     if method == "pathsum":
         return _marginal_by_pathsum(spec, positions, tol, budget)
-    raise ValidationError(f"unknown marginalization method {method!r}")
-
-
-def _marginal_by_channel(
-    spec: HistorySpec,
-    subset: tuple[int, ...],
-    tol: Tolerances,
-    budget: int,
-) -> DecoherenceFunctional:
-    remaining = [
-        (pos, s.instrument)
-        for pos, s in enumerate(spec.steps, 1)
-        if s.instrument is not None and pos not in subset
-    ]
-    n_paths = 1
-    for _, inst in remaining:
-        n_paths *= len(inst.effects)
-    if n_paths * n_paths > budget:
-        raise BudgetExceeded(
-            f"{n_paths}^2 = {n_paths * n_paths} path pairs exceed budget {budget}"
-        )
-    dim = spec.dim
-    # pair tensor M[a, b] holds A..rho..A' for branch pair (a, b)
-    m = spec.initial.matrix[np.newaxis, np.newaxis, :, :].astype(np.complex128)
-    for pos, step in enumerate(spec.steps, 1):
-        u = step.unitary.matrix
-        m = np.einsum("ij,abjk,lk->abil", u, m, u.conj())
-        inst = step.instrument
-        if inst is None:
-            continue
-        if pos in subset:
-            na, nb = m.shape[:2]
-            flat = m.reshape(na * nb, dim, dim)
-            flat = np.array([core.apply_channel(inst, x) for x in flat])
-            m = flat.reshape(na, nb, dim, dim)
-        else:
-            a = np.array([e.matrix for e in inst.effects])
-            k = a.shape[0]
-            left = np.einsum("eij,abjk->aebik", a, m)
-            both = np.einsum("aebik,flk->aebfil", left, a.conj())
-            na, nb = m.shape[:2]
-            m = both.reshape(na * k, nb * k, dim, dim)
-    values = np.einsum("abii->ab", m)
+    if method != "channel":
+        raise ValidationError(f"unknown marginalization method {method!r}")
+    remaining = [(pos, spec.instrument_at(pos))
+                 for pos in spec.measured_positions if pos not in positions]
+    _check_budget([len(inst.effects) for _, inst in remaining], budget, "path pairs", pairs=True)
+    modes = {pos: "forget" if pos in positions else "pair" for pos in spec.measured_positions}
+    values = np.einsum("abii->ab", _walk(spec.initial.matrix, spec.steps, modes))
     paths, labels = _enumerate_paths([inst for _, inst in remaining])
-    positions = tuple(pos for pos, _ in remaining)
-    return _validated_functional(values, paths, labels, positions, tol)
+    return _validated_functional(values, paths, labels, tuple(pos for pos, _ in remaining), tol)
 
 
 def _marginal_by_pathsum(
@@ -392,62 +359,69 @@ def _validated_functional(values, paths, labels, positions, tol) -> DecoherenceF
 
 
 # ---------------------------------------------------------------------------
-# Diagonal-only propagation. The measurement-based criterion and the exact
-# protocol mode need outcome-label distributions, never full functionals, and
-# branch states can be dropped after the last remaining measured step because
-# everything later is trace preserving.
+# Branch-state propagation. D needs path operators (_kraus_products); the
+# measurement-based criterion, the exact protocol mode and the channel route
+# of marginal_functional need branch states, evolved with each measurement
+# kept, forgotten or skipped. Label distributions never need full
+# functionals, and branch states can be dropped after the last kept step
+# because everything later is trace preserving.
 # ---------------------------------------------------------------------------
 
 
-def _label_distribution(
-    initial: np.ndarray,
-    steps: tuple[Step, ...],
-    modes: dict[int, str],
-    budget: int,
-    tol: Tolerances,
-) -> dict[tuple[str, ...], float]:
-    """Distribution over label tuples of 'branch' steps.
+def _walk(initial: np.ndarray, steps: tuple[Step, ...], modes: dict[int, str]) -> np.ndarray:
+    """Walk a (rows, cols, dim, dim) stack of branch states X through ``steps``.
 
-    ``modes`` maps measured 1-based positions to 'branch' (keep outcomes),
-    'forget' (apply measure-and-forget channel) or 'skip' (omit instrument).
+    ``modes`` maps measured 1-based positions to
+      'pair'    X[a, b] -> A_e X[a, b] A_f' for every effect pair (rows and
+                cols both grow: the path-pair tensor whose traces are D);
+      'branch'  X[a] -> sum_i A_{mu i} X[a] A_{mu i}' for every label mu;
+      'forget'  X -> sum_{mu i} A X A' (performed, outcome discarded);
+      'skip'    X unchanged (instrument omitted).
+    The walk ends at the last 'pair' or 'branch' step. A 'pair' walk returns
+    the stack there; a 'branch' walk returns the (branches, labels) outcome
+    probabilities of that step, computed state by state so each row equals
+    outcome_probabilities of its single state bit for bit.
     """
-    branch_positions = [pos for pos, mode in modes.items() if mode == "branch"]
-    if not branch_positions:
-        return {(): float(np.trace(initial).real)}
-    last_branch = max(branch_positions)
-    n_branches = 1
-    for pos in branch_positions:
-        inst = steps[pos - 1].instrument
-        n_branches *= len(inst.labels)
-    if n_branches > budget:
-        raise BudgetExceeded(f"{n_branches} outcome branches exceed budget {budget}")
-
-    branches: list[tuple[tuple[str, ...], np.ndarray]] = [((), initial)]
-    dist: dict[tuple[str, ...], float] = {}
-    for pos, step in enumerate(steps, 1):
+    last = max((pos for pos, mode in modes.items() if mode in ("pair", "branch")), default=0)
+    dim = initial.shape[0]
+    states = initial[np.newaxis, np.newaxis]
+    for pos, step in enumerate(steps[:last], 1):
         u = step.unitary.matrix
-        branches = [(lbls, u @ x @ u.conj().T) for lbls, x in branches]
-        inst = step.instrument
-        if inst is None:
-            continue
-        mode = modes[pos]
-        if mode == "skip":
-            continue
+        # Two products, not u @ X @ u': at most two stacks are alive at once.
+        states = u @ states
+        states = states @ u.conj().T
+        inst, mode = step.instrument, modes.get(pos, "skip")
         if mode == "forget":
-            branches = [(lbls, core.apply_channel(inst, x)) for lbls, x in branches]
-            continue
-        if pos == last_branch:
-            for lbls, x in branches:
-                probs = core.outcome_probabilities(inst, x)
-                for label, p in zip(inst.labels, probs):
-                    dist[lbls + (label,)] = float(p)
-            return dist
-        branches = [
-            (lbls + (label,), core.apply_outcome(inst, label, x))
-            for lbls, x in branches
-            for label in inst.labels
-        ]
-    raise AssertionError("unreachable: last branch step must emit")
+            states = core.apply_channel(inst, states)
+        elif mode == "pair":
+            a = np.array([e.matrix for e in inst.effects])
+            left = a[:, np.newaxis] @ states[:, np.newaxis]
+            states = left[:, :, :, np.newaxis] @ a.conj().transpose(0, 2, 1)
+            states = states.reshape(left.shape[0] * len(a), -1, dim, dim)
+        elif mode == "branch" and pos == last:
+            return np.array([core.outcome_probabilities(inst, x) for x in states[:, 0]])
+        elif mode == "branch":
+            out = np.empty((len(states), len(inst.labels), dim, dim), dtype=np.complex128)
+            for m, label in enumerate(inst.labels):
+                out[:, m] = core.apply_outcome(inst, label, states[:, 0])
+            states = out.reshape(-1, 1, dim, dim)
+    return states
+
+
+def _label_distribution(
+    spec: HistorySpec, subset, omitted: str, budget: int
+) -> dict[tuple[str, ...], float]:
+    """Distribution over label tuples of the measured steps outside ``subset``,
+    whose instruments are walked in mode ``omitted`` ('forget' or 'skip')."""
+    positions = _normalize_subset(spec, subset)
+    kept = [pos for pos in spec.measured_positions if pos not in positions]
+    if not kept:
+        return {(): float(np.trace(spec.initial.matrix).real)}
+    label_sets = [spec.instrument_at(pos).labels for pos in kept]
+    _check_budget([len(labels) for labels in label_sets], budget, "outcome branches")
+    modes = {pos: omitted if pos in positions else "branch" for pos in spec.measured_positions}
+    probs = _walk(spec.initial.matrix, spec.steps, modes)
+    return dict(zip(itertools.product(*label_sets), probs.ravel().tolist()))
 
 
 def marginal_distribution(
@@ -461,12 +435,7 @@ def marginal_distribution(
     Equals grouped_diagonal(marginal_functional(spec, subset)); the equality is
     a tested invariant.
     """
-    positions = _normalize_subset(spec, subset)
-    modes = {
-        pos: ("forget" if pos in positions else "branch")
-        for pos in spec.measured_positions
-    }
-    return _label_distribution(spec.initial.matrix, spec.steps, modes, budget, tol)
+    return _label_distribution(spec, subset, "forget", budget)
 
 
 def omitted_distribution(
@@ -476,9 +445,4 @@ def omitted_distribution(
     budget: int = DEFAULT_PATH_PAIR_BUDGET,
 ) -> dict[tuple[str, ...], float]:
     """Label distribution over remaining steps with ``subset`` not measured at all."""
-    positions = _normalize_subset(spec, subset)
-    modes = {
-        pos: ("skip" if pos in positions else "branch")
-        for pos in spec.measured_positions
-    }
-    return _label_distribution(spec.initial.matrix, spec.steps, modes, budget, tol)
+    return _label_distribution(spec, subset, "skip", budget)

@@ -282,20 +282,6 @@ def gaussian_wavepacket(
     return core.validate_density(np.outer(psi, psi.conj()), tol)
 
 
-def dephasing_instrument(basis: Instrument, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Measure-and-forget channel of a projective basis.
-
-    For projectors the channel is exactly rho -> sum_i P_i rho P_i, the map
-    that zeroes coherences between the basis sectors; the identity is exact in
-    floating point, not merely within tolerance.
-    """
-    if basis.kind != "projective":
-        raise ValidationError("dephasing requires a projective instrument")
-    from .protocol import measure_and_forget_channel
-
-    return measure_and_forget_channel(basis)
-
-
 def interference_circuit(classical: bool = False, tol: Tolerances = DEFAULT_TOLERANCES) -> HistorySpec:
     """Single qubit from |0><0|: two steps of (U, z-measurement).
 
@@ -324,7 +310,6 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "dephasing_instrument",
     "free_particle_unitary",
     "gaussian_instrument",
     "gaussian_wavepacket",

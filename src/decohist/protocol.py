@@ -24,10 +24,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from . import core
-from .core import DEFAULT_TOLERANCES, Instrument, Tolerances
+from .core import DEFAULT_TOLERANCES, Tolerances
 from .errors import NumericalUnderflow, ValidationError
 from .histories import (
     HistorySpec,
@@ -75,22 +75,10 @@ class ProtocolResult:
 
 
 def tv_distance(p: dict, q: dict) -> float:
-    """(1/2) sum |p - q| over the union of categories (missing keys count 0)."""
-    keys = set(p) | set(q)
+    """(1/2) sum |p - q| over the union of categories (missing keys count 0),
+    summed in sorted key order so the result does not depend on hash order."""
+    keys = sorted(set(p) | set(q))
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-
-
-def measure_and_forget_channel(inst: Instrument):
-    """The channel rho -> sum_{mu i} A rho A' (perform and discard the outcome).
-
-    Trace preserving by instrument completeness; for a projective basis this
-    is exactly the dephasing map that zeroes off-diagonal entries in that
-    basis.
-    """
-    def channel(x: np.ndarray) -> np.ndarray:
-        return core.apply_channel(inst, np.asarray(x, dtype=np.complex128))
-
-    return channel
 
 
 def sample_history(
@@ -157,11 +145,7 @@ def _sample_counts(
         inst = step.instrument
         if inst is None:
             continue
-        weights = core._povm_weights(inst)
-        if weights is not None:
-            probs = np.einsum("tii->ti", states).real @ weights.T
-        else:
-            probs = np.einsum("mij,tji->tm", core._povm_dense(inst), states).real
+        probs = core.outcome_probabilities(inst, states)
         totals = probs.sum(axis=1)
         if float(totals.min()) < tol.validation:
             raise NumericalUnderflow(f"all outcome probabilities below {tol.validation}")
@@ -279,5 +263,5 @@ def _chi_square_two_sample(counts1: Counter, counts2: Counter) -> tuple[float, f
     e1 = n1 * pooled
     e2 = n2 * pooled
     statistic = float(np.sum((o1 - e1) ** 2 / e1) + np.sum((o2 - e2) ** 2 / e2))
-    p_value = float(stats.chi2.sf(statistic, dof))
+    p_value = float(chdtrc(dof, statistic))
     return statistic, p_value, dof

@@ -251,3 +251,34 @@ class TestChannels:
             p = outcome_probabilities(lib.fuzzy, rho)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert (p >= -1e-12).all()
+
+
+class TestInstrumentStructure:
+    def test_stacked_probabilities_match_single_states(self):
+        """A stack of states gives the per-state probabilities, label axis last."""
+        lib = spin_half_library()
+        stack = np.array([lib.up_z.matrix, lib.mixed.matrix, lib.up_x.matrix])
+        for inst in (lib.fuzzy, lib.projective_x):
+            batched = outcome_probabilities(inst, stack)
+            assert batched.shape == (3, 2)
+            for row, x in zip(batched, stack):
+                np.testing.assert_array_equal(row, outcome_probabilities(inst, x))
+
+    def test_instrument_is_released_after_use(self):
+        """Cached per-instrument structure does not keep an instrument alive."""
+        import gc
+        import weakref
+
+        from decohist import (GridSystem, HistorySpec, Step, check_measurement_based,
+                              free_particle_unitary, gaussian_instrument, gaussian_wavepacket)
+
+        grid = GridSystem(n_points=64, x_min=-16.0, x_max=16.0)
+        inst = gaussian_instrument(grid, 2.0, np.arange(-24.0, 25.0, 2.0))
+        u = free_particle_unitary(grid, mass=1.0, time=1.0)
+        spec = HistorySpec(initial=gaussian_wavepacket(grid, 0.0, 1.0),
+                           steps=(Step(u, inst), Step(u, inst)))
+        check_measurement_based(spec)
+        ref = weakref.ref(inst)
+        del spec, inst
+        gc.collect()
+        assert ref() is None

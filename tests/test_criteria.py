@@ -1,5 +1,7 @@
 """Tests for the three decoherence criteria and random spec generators."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from decohist import (
     check_measurement_based,
     check_weak,
     decoherence_functional,
+    psd_sqrt,
     random_classical_spec,
     random_spec,
     spin_half_library,
@@ -171,6 +174,51 @@ class TestCheckKent:
             report = check_kent(spec)
             assert report.criterion == "kent"
             assert isinstance(report.verdict, bool)
+
+
+def _kent_reference(spec) -> dict:
+    """Sum-rule residual per selection location, one selection at a time:
+    each coarse operator product is built and traced on its own."""
+    kent = KentSpec.from_history(spec)
+    rho = spec.initial.matrix
+    by_position = {step.position: step for step in kent.steps}
+    ops, shape = [np.eye(spec.dim, dtype=complex)], []
+    for pos, step in enumerate(spec.steps, 1):
+        ops = [step.unitary.matrix @ c for c in ops]
+        if step.instrument is not None:
+            ops = [b @ c for c in ops for b in by_position[pos].effects]
+            shape.append(len(by_position[pos].effects))
+    diag = np.array([np.trace(c @ rho @ c.conj().T).real for c in ops]).reshape(shape)
+    residuals = {}
+    for selection in itertools.product(*[step.subsets for step in kent.steps]):
+        op = np.eye(spec.dim, dtype=complex)
+        chosen = iter(zip(kent.steps, selection))
+        for step in spec.steps:
+            op = step.unitary.matrix @ op
+            if step.instrument is not None:
+                kstep, subset = next(chosen)
+                op = psd_sqrt(sum(kstep.effects[i] @ kstep.effects[i] for i in subset)) @ op
+        lhs = np.trace(op @ rho @ op.conj().T).real
+        location = tuple(tuple(step.labels[i] for i in subset)
+                         for step, subset in zip(kent.steps, selection))
+        residuals[location] = abs(lhs - diag[np.ix_(*selection)].sum())
+    return residuals
+
+
+def test_kent_matches_per_selection_reference():
+    """Stacked Kent residuals match a one-selection-at-a-time reference."""
+    for seed in range(12):
+        n_steps = 1 + seed % 3
+        spec = random_spec(2 + seed % 2, n_steps, 2 + seed % 2, kind="hermitian", seed=seed)
+        reference = _kent_reference(spec)
+        report = check_kent(spec)
+        worst = max(reference.values())
+        assert report.verdict == (worst <= Tolerances().decoherence)
+        assert abs(report.max_residual - worst) <= 1e-12
+        expected = sum(r > Tolerances().decoherence for r in reference.values())
+        assert len(report.witnesses) == min(expected, 8)
+        for witness in report.witnesses:
+            assert abs(witness.residual - reference[witness.location]) <= 1e-12
 
 
 class TestImplications:

@@ -1,23 +1,44 @@
 """Tests for trajectory sampling and the two-ensemble comparison protocol."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import decohist
 from decohist import (
     AXIS_DIRECTIONS,
+    DEFAULT_TOLERANCES,
     HistorySpec,
     ProtocolConfig,
     Step,
     ValidationError,
+    apply_channel,
+    interference_circuit,
     marginal_distribution,
-    measure_and_forget_channel,
     omitted_distribution,
+    random_spec,
     run_protocol,
     sample_history,
     spin_direction_instrument,
     spin_half_library,
     tv_distance,
 )
+from decohist.protocol import _ensemble_stream, _sample_counts
+
+
+def _run_python(code: str, hash_seed: int = 0) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this decohist."""
+    src = str(Path(decohist.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(hash_seed)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout
 
 
 def _xy_spec():
@@ -59,24 +80,38 @@ class TestTvDistance:
         assert tv_distance(p, p) == 0.0
 
 
+    def test_independent_of_hash_order(self):
+        """Three-category TV is the same float under every string-hash seed."""
+        code = ("from decohist import ProtocolConfig, random_spec, run_protocol\n"
+                "spec = random_spec(4, 3, 3, kind='generalized', seed=11)\n"
+                "cfg = ProtocolConfig(spec=spec, subset=(1,), shots=1, seed=0)\n"
+                "print(repr(run_protocol(cfg, mode='exact').exact_tv))")
+        outputs = {_run_python(code, hash_seed) for hash_seed in range(8)}
+        assert len(outputs) == 1
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """Importing decohist does not pay for scipy.stats."""
+    code = "import sys, decohist\nprint('scipy.stats' in sys.modules)"
+    assert _run_python(code).strip() == "False"
+
+
 class TestMeasureAndForget:
     def test_projective_channel_dephases(self):
         """Forgetting a z measurement zeroes off-diagonals in the z basis."""
         lib = spin_half_library()
-        channel = measure_and_forget_channel(lib.projective_z)
-        out = channel(lib.up_x.matrix)
+        out = apply_channel(lib.projective_z, lib.up_x.matrix)
         np.testing.assert_allclose(out, np.diag([0.5, 0.5]), atol=1e-12)
 
     def test_trace_preserving(self):
         """The channel preserves trace on seeded states."""
         lib = spin_half_library()
-        channel = measure_and_forget_channel(lib.fuzzy)
         rng = np.random.default_rng(3)
         for _ in range(10):
             g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
-            assert np.trace(channel(rho)).real == pytest.approx(1.0, abs=1e-12)
+            assert np.trace(apply_channel(lib.fuzzy, rho)).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSampleHistory:
@@ -107,6 +142,23 @@ class TestSampleHistory:
         counts = Counter(sample_history(_xy_spec(), rng) for _ in range(shots))
         for key, count in counts.items():
             assert count / shots == pytest.approx(0.25, abs=0.02)
+
+
+class TestBatchedSampler:
+    def test_counts_equal_per_trajectory_loop(self):
+        """_sample_counts equals a Counter of sample_history over the same stream."""
+        specs = [_xy_spec(), _direction_spec(), interference_circuit(),
+                 interference_circuit(classical=True)]
+        for kind in ("projective", "generalized", "generalized_multi", "hermitian"):
+            for seed in range(3):
+                specs.append(random_spec(2 + seed, 3, 2, kind=kind, seed=seed))
+        for number, spec in enumerate(specs):
+            for ensemble in (0, 1):
+                batched = _sample_counts(spec.initial.matrix, spec.steps, 400, number,
+                                         ensemble, DEFAULT_TOLERANCES)
+                stream = _ensemble_stream(number, ensemble)
+                looped = Counter(sample_history(spec, stream) for _ in range(400))
+                assert batched == looped
 
 
 class TestRunProtocol:

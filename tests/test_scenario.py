@@ -1,5 +1,6 @@
 """Tests for scenario parsing, report serialization, and the command line."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -205,6 +206,15 @@ class TestCli:
         doc = json.loads(captured.out)
         assert "error" in doc
 
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        """A scenario file that is not UTF-8 exits 2 with a typed error, not a traceback."""
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("# caf\xe9\n".encode("latin-1") + MINIMAL.encode())
+        code = cli_main(["check", str(path), "--format", "structured"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert doc["error"]["type"] == "UnicodeDecodeError"
+
     def test_structured_output_parses(self, capsys):
         """The structured CLI output is a loadable report."""
         code = cli_main(
@@ -229,3 +239,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert json.loads(captured.out)["seed"] == 42
+
+
+# SHA-256 of emit_report(run_scenario(parse_scenario(F)), "structured") for
+# every shipped fixture. A change to the propagation code must leave these
+# bytes alone; a deliberate change to a report updates its digest here. The
+# digests were taken with numpy 2.4 on OpenBLAS 0.3.31 (Haswell kernels);
+# other BLAS builds may differ in the last bits of some floats.
+FIXTURE_REPORT_SHA256 = {
+    "free_particle.yaml": "93da2bbf126126840de7d3a284e6e9949309b205ab4fb301432df786497a2b31",
+    "fuzzy_measurement.yaml": "ff3bfaf46d3e8f99c3708358f9cb5826cae82ef42ddaff4a532ee4bb80feb502",
+    "fuzzy_then_trivial.yaml": "10f89091f58f923b1fa8fa27ea685054bd9a83b6285f7ffae249d491b494cf38",
+    "gaussian_static.yaml": "49c5cdb93c246185978a73a99a24870a6e470c7401c1be830c2342fdf2a794c2",
+    "interference.yaml": "1a8f6427a6571d0715a195721385029d9fb39857257ff4772c42476a703ff5f3",
+    "interference_classical.yaml": "b57d1d0a45bc08c3451e90f457498fdd314f799cb29af0c58f1f01409305daa4",
+    "spin_directions.yaml": "5b9f3e4f9e5d70f20c6b6eab6275a7ba2dbc7386ec1e1d62c5ac004e9c85deee",
+    "spin_xy.yaml": "93dc066027b8b302c0a8ff152d104118861fe6601aee688f299eccccdf93d18b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_REPORT_SHA256))
+def test_fixture_report_bytes_are_pinned(name):
+    """Each fixture's structured report hashes to its pinned digest."""
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    out = emit_report(run_scenario(parse_scenario(text)), "structured")
+    assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_REPORT_SHA256[name]

@@ -134,9 +134,12 @@ def check_measurement_based(
     per_subset: list[tuple[tuple[int, ...], float]] = []
     candidates: list[tuple[tuple, float]] = []
     for subset in subsets:
-        if not subset:
-            # Omitting nothing compares the functional with itself.
-            per_subset.append(((), 0.0))
+        kept = [pos for pos in measured if pos not in subset]
+        if not subset or not kept or subset[0] > kept[-1]:
+            # Omitting nothing compares the functional with itself. When every
+            # step of S follows the last kept step, both walks stop before S
+            # and agree exactly.
+            per_subset.append((subset, 0.0))
             continue
         skipped = omitted_distribution(spec, subset, tol, budget)
         forgotten = marginal_distribution(spec, subset, tol, budget)

@@ -13,9 +13,16 @@ is also reported so the statistical layer is auditable.
 
 RNG contract: a counter-based Philox generator keyed by the seed. Ensemble e
 draws from counter block [0, 0, 0, e]; trajectory t consumes row t of the
-uniform table, i.e. a stream fully determined by (seed, ensemble, trajectory).
-Counts are integers aggregated by trajectory index, so results are
-bit-identical regardless of execution order or parallelism degree.
+uniform table (one uniform per measured step), i.e. a stream fully determined
+by (seed, ensemble, trajectory). The table is drawn chunk by chunk from that
+one stream, and consecutive chunks are the rows a single draw would give, so
+row t is still trajectory t. Counts are integers aggregated by trajectory
+index, so results are bit-identical regardless of chunk size, execution order
+or parallelism degree.
+
+Within a chunk, trajectories that share an outcome prefix share one state.
+The sampler therefore holds O(min(chunk, prefixes) * d^2 + chunk * steps)
+numbers, independent of the number of shots.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ from .histories import (
 )
 
 _U64 = (1 << 64) - 1
+# Rows of the uniform table sampled together; bounds the sampler's memory.
+_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,20 +135,45 @@ def _sample_counts(
     ensemble: int,
     tol: Tolerances,
 ) -> Counter:
-    """Batched trajectory sampling, bit-identical to looping sample_history
-    over the same stream (one uniform per measured step per trajectory)."""
-    measured = [(k, s.instrument) for k, s in enumerate(steps) if s.instrument is not None]
+    """Prefix-grouped trajectory sampling, bit-identical to looping
+    sample_history over the same stream (one uniform per measured step per
+    trajectory).
+
+    Rows of the uniform table are drawn _CHUNK_ROWS at a time; each chunk is
+    sampled on its own, so memory does not grow with ``shots``."""
+    measured = [k for k, s in enumerate(steps) if s.instrument is not None]
     if not measured:
         return Counter({(): shots})
-    uniforms = _ensemble_stream(seed, ensemble).random((shots, len(measured)))
-    last_measured = measured[-1][0]
-    dim = initial.shape[0]
-    states = np.broadcast_to(initial, (shots, dim, dim)).copy()
-    outcome_labels: list[np.ndarray] = []
-    cursor = 0
+    steps = steps[: measured[-1] + 1]
+    instruments = [steps[k].instrument for k in measured]
+    stream = _ensemble_stream(seed, ensemble)
+    counts: Counter = Counter()
+    for start in range(0, shots, _CHUNK_ROWS):
+        uniforms = stream.random((min(_CHUNK_ROWS, shots - start), len(measured)))
+        history, hits = _sample_chunk(initial, steps, uniforms, tol)
+        for row, c in zip(history.tolist(), hits.tolist()):
+            counts[tuple(inst.labels[i] for inst, i in zip(instruments, row))] += c
+    return counts
+
+
+def _sample_chunk(
+    initial: np.ndarray,
+    steps: tuple[Step, ...],
+    uniforms: np.ndarray,
+    tol: Tolerances,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one chunk of trajectories, one state per distinct outcome prefix.
+
+    Row t of ``uniforms`` is trajectory t; ``code[t]`` indexes its prefix in
+    ``states`` (post-measurement states) and ``history`` (outcome indices).
+    ``steps`` must end at the last measured step. Returns every outcome
+    sequence that occurred, as a row of outcome indices per measured step,
+    and the number of trajectories that took it."""
+    states = initial[np.newaxis].copy()
+    code = np.zeros(len(uniforms), dtype=np.intp)
+    history = np.zeros((1, 0), dtype=np.intp)
+    column = 0
     for k, step in enumerate(steps):
-        if k > last_measured:
-            break
         u = step.unitary.matrix
         states = np.matmul(np.matmul(u, states), u.conj().T)
         inst = step.instrument
@@ -150,19 +184,23 @@ def _sample_counts(
         if float(totals.min()) < tol.validation:
             raise NumericalUnderflow(f"all outcome probabilities below {tol.validation}")
         cum = np.cumsum(probs, axis=1)
-        draws = uniforms[:, cursor] * totals
-        idx = np.minimum((cum <= draws[:, np.newaxis]).sum(axis=1), probs.shape[1] - 1)
-        labels = np.array(inst.labels)
-        outcome_labels.append(labels[idx])
-        cursor += 1
-        if k != last_measured:
-            for m in range(len(inst.labels)):
-                mask = idx == m
-                if not np.any(mask):
-                    continue
-                updated = core.apply_outcome(inst, inst.labels[m], states[mask])
-                states[mask] = updated / probs[mask, m][:, np.newaxis, np.newaxis]
-    return Counter(zip(*(col.tolist() for col in outcome_labels)))
+        m = probs.shape[1]
+        draws = uniforms[:, column] * totals[code]
+        idx = np.minimum((cum[code] <= draws[:, np.newaxis]).sum(axis=1), m - 1)
+        column += 1
+        pairs, code = np.unique(code * m + idx, return_inverse=True)
+        parent, outcome = np.divmod(pairs, m)
+        history = np.column_stack((history[parent], outcome))
+        if k == len(steps) - 1:
+            break
+        updated = np.empty_like(states, shape=(len(pairs),) + states.shape[1:])
+        for o in np.unique(outcome).tolist():
+            sel = outcome == o
+            rows = parent[sel]
+            post = core.apply_outcome(inst, inst.labels[o], states[rows])
+            updated[sel] = post / probs[rows, o][:, np.newaxis, np.newaxis]
+        states = updated
+    return history, np.bincount(code, minlength=len(history))
 
 
 def run_protocol(

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import decohist.criteria as criteria
 from decohist import (
     HistorySpec,
     KentNotApplicable,
@@ -85,6 +86,23 @@ class TestCheckMeasurementBased:
         report = check_measurement_based(_fuzzy_spec())
         per_subset = dict(report.per_subset)
         assert per_subset[()] == 0.0
+
+    def test_subsets_after_last_kept_step_are_not_walked(self, monkeypatch):
+        """Omitting only steps after every kept step gives 0 without a walk."""
+        walked = []
+
+        def spy(real):
+            def wrapper(spec, subset, *args):
+                walked.append(tuple(subset))
+                return real(spec, subset, *args)
+            return wrapper
+
+        for name in ("omitted_distribution", "marginal_distribution"):
+            monkeypatch.setattr(criteria, name, spy(getattr(criteria, name)))
+        report = check_measurement_based(_xy_spec())
+        assert walked == [(1,), (1,)]
+        assert ((2,), 0.0) in report.per_subset
+        assert ((1, 2), 0.0) in report.per_subset
 
     def test_subsets_ordered_lexicographically(self):
         """Subsets are reported in index-set lexicographic order."""

@@ -28,7 +28,10 @@ from decohist import (
     spin_half_library,
     tv_distance,
 )
+from decohist import protocol
 from decohist.protocol import _ensemble_stream, _sample_counts
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def _run_python(code: str, hash_seed: int = 0) -> str:
@@ -159,6 +162,44 @@ class TestBatchedSampler:
                 stream = _ensemble_stream(number, ensemble)
                 looped = Counter(sample_history(spec, stream) for _ in range(400))
                 assert batched == looped
+
+    def test_counts_equal_per_trajectory_loop_across_chunks(self, monkeypatch):
+        """With 7-row chunks, counts still equal the loop at shots that are not
+        multiples of the chunk size."""
+        monkeypatch.setattr(protocol, "_CHUNK_ROWS", 7)
+        specs = [_xy_spec(), _direction_spec(), interference_circuit(),
+                 interference_circuit(classical=True)]
+        for kind in ("projective", "generalized", "generalized_multi", "hermitian"):
+            for seed in range(3):
+                specs.append(random_spec(2 + seed, 3, 2, kind=kind, seed=seed))
+        for number, spec in enumerate(specs):
+            shots = 7 * (number % 5) + 1 + number % 6
+            for ensemble in (0, 1):
+                batched = _sample_counts(spec.initial.matrix, spec.steps, shots, number,
+                                         ensemble, DEFAULT_TOLERANCES)
+                stream = _ensemble_stream(number, ensemble)
+                looped = Counter(sample_history(spec, stream) for _ in range(shots))
+                assert batched == looped
+
+
+def test_grid_protocol_runs_in_bounded_memory():
+    """A 64-point grid protocol at 1e5 shots completes under a 1 GiB address cap."""
+    limit = 1 << 30
+    code = (
+        "import os, resource\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "import yaml\n"
+        "from decohist import parse_scenario, run_scenario\n"
+        f"doc = yaml.safe_load(open({str(FIXTURES / 'free_particle.yaml')!r}).read())\n"
+        "doc['system'].update(n_points=64, x_min=-16.0, x_max=16.0)\n"
+        "for step in doc['steps']:\n"
+        "    step['instrument']['centers'].update(start=-24.0, stop=24.0)\n"
+        "doc.update(checks=['protocol'], S=[1], check_options={'shots': 100000})\n"
+        "report = run_scenario(parse_scenario(yaml.safe_dump(doc)))\n"
+        "print(report.checks[0][1].mode)"
+    )
+    assert _run_python(code).strip() == "sample"
 
 
 class TestRunProtocol:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import importlib.metadata
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import yaml
 
 from . import core
-from .core import Effect, Instrument, Tolerances, UnitaryOp
+from .core import Effect, Instrument, Tolerances
 from .criteria import (
     CriterionReport,
     Witness,
@@ -42,12 +42,13 @@ from .histories import (
     DEFAULT_PATH_PAIR_BUDGET,
     HistorySpec,
     Step,
+    _normalize_subset,
     decoherence_functional,
     marginal_distribution,
 )
 from .models import (
+    AXIS_DIRECTIONS,
     GridSystem,
-    SpinDirectionSet,
     free_particle_unitary,
     gaussian_instrument,
     gaussian_wavepacket,
@@ -131,15 +132,25 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _fail_unknown_keys(node: dict, allowed: set[str], path: str) -> None:
+def _fields(node, path: str, required=(), optional=()) -> dict:
+    """Check that ``node`` is a mapping with every required key and no others.
+
+    Passing ``node`` itself as ``optional`` checks only the required keys."""
+    if not isinstance(node, dict):
+        raise ScenarioSyntaxError(f"{path}: expected a mapping, got {type(node).__name__}")
+    allowed = {*required, *optional}
     for key in node:
         if key not in allowed:
             raise UnknownKey(f"{path}: unknown key {key!r} (allowed: {sorted(allowed)})")
+    for key in required:
+        if key not in node:
+            raise ScenarioSyntaxError(f"{path}: missing key {key!r}")
+    return node
 
 
-def _require_mapping(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ScenarioSyntaxError(f"{path}: expected a mapping, got {type(node).__name__}")
+def _nonempty_list(node, path: str) -> list:
+    if not isinstance(node, list) or not node:
+        raise ScenarioSyntaxError(f"{path}: expected a nonempty list")
     return node
 
 
@@ -169,8 +180,8 @@ def _as_str(node, path: str) -> str:
     return node
 
 
-def _parse_matrix(node, path: str) -> np.ndarray:
-    """Nested arrays of [re, im] pairs."""
+def _parse_matrix(node, dim: int, path: str) -> np.ndarray:
+    """Nested arrays of [re, im] pairs forming a dim x dim matrix."""
     if not isinstance(node, list) or not node:
         raise ScenarioSyntaxError(f"{path}: expected a nonempty list of rows")
     rows = []
@@ -186,6 +197,8 @@ def _parse_matrix(node, path: str) -> np.ndarray:
             entries.append(complex(_as_float(cell[0], f"{path}[{r}][{c}][0]"),
                                    _as_float(cell[1], f"{path}[{r}][{c}][1]")))
         rows.append(entries)
+    if len(rows) != dim:
+        raise DimensionMismatch(f"{path}: matrix dim {len(rows)} != system dim {dim}")
     return np.array(rows, dtype=np.complex128)
 
 
@@ -196,19 +209,17 @@ class _System:
     grid: GridSystem | None = None
 
 
+_SYSTEM_KEYS = {"spin_half": (), "grid": ("n_points", "x_min", "x_max"), "custom": ("dim",)}
+
+
 def _parse_system(node, path: str) -> _System:
-    node = _require_mapping(node, path)
-    model = _as_str(node.get("model"), f"{path}.model") if "model" in node else None
-    if model is None:
-        raise ScenarioSyntaxError(f"{path}: missing key 'model'")
-    if model == "spin_half":
-        _fail_unknown_keys(node, {"model"}, path)
-        return _System(model="spin_half", dim=2)
+    # The other allowed keys depend on the model, so only 'model' is checked first.
+    model = _as_str(_fields(node, path, ("model",), node)["model"], f"{path}.model")
+    if model not in _SYSTEM_KEYS:
+        raise UnknownModel(f"{path}.model: unknown model {model!r} "
+                           f"(known: {', '.join(_SYSTEM_KEYS)})")
+    node = _fields(node, path, ("model", *_SYSTEM_KEYS[model]))
     if model == "grid":
-        _fail_unknown_keys(node, {"model", "n_points", "x_min", "x_max"}, path)
-        for key in ("n_points", "x_min", "x_max"):
-            if key not in node:
-                raise ScenarioSyntaxError(f"{path}: missing key {key!r}")
         grid = GridSystem(
             n_points=_as_int(node["n_points"], f"{path}.n_points"),
             x_min=_as_float(node["x_min"], f"{path}.x_min"),
@@ -216,117 +227,17 @@ def _parse_system(node, path: str) -> _System:
         )
         return _System(model="grid", dim=grid.n_points, grid=grid)
     if model == "custom":
-        _fail_unknown_keys(node, {"model", "dim"}, path)
-        if "dim" not in node:
-            raise ScenarioSyntaxError(f"{path}: missing key 'dim'")
         dim = _as_int(node["dim"], f"{path}.dim")
         if dim < 1:
             raise ScenarioSyntaxError(f"{path}.dim: must be >= 1")
         return _System(model="custom", dim=dim)
-    raise UnknownModel(f"{path}.model: unknown model {model!r} "
-                       "(known: spin_half, grid, custom)")
-
-
-def _named_node(node, path: str) -> tuple[str, dict]:
-    """Accept 'name' or {name: ..., params...}; returns (name, params)."""
-    if isinstance(node, str):
-        return node, {}
-    node = _require_mapping(node, path)
-    if "name" not in node:
-        raise ScenarioSyntaxError(f"{path}: expected a name string, "
-                                  "a {name: ...} mapping, or a {matrix: ...} mapping")
-    params = dict(node)
-    name = _as_str(params.pop("name"), f"{path}.name")
-    return name, params
-
-
-def _parse_state(node, system: _System, tol: Tolerances, path: str):
-    if isinstance(node, dict) and "matrix" in node:
-        _fail_unknown_keys(node, {"matrix"}, path)
-        m = _parse_matrix(node["matrix"], f"{path}.matrix")
-        if m.shape[0] != system.dim:
-            raise DimensionMismatch(
-                f"{path}: matrix dim {m.shape[0]} != system dim {system.dim}"
-            )
-        return core.validate_density(m, tol)
-    name, params = _named_node(node, path)
-    if system.model == "spin_half":
-        lib = spin_half_library(tol)
-        plain = {"up_z": lib.up_z, "down_z": lib.down_z, "up_x": lib.up_x, "mixed": lib.mixed}
-        if name in plain:
-            _fail_unknown_keys(params, set(), path)
-            return plain[name]
-        if name == "near_identity":
-            _fail_unknown_keys(params, {"epsilon"}, path)
-            if "epsilon" not in params:
-                raise ScenarioSyntaxError(f"{path}: near_identity needs 'epsilon'")
-            return lib.near_identity(_as_float(params["epsilon"], f"{path}.epsilon"), tol)
-        raise UnknownModel(f"{path}: unknown spin_half state {name!r}")
-    if system.model == "grid":
-        if name == "wavepacket":
-            _fail_unknown_keys(params, {"center", "sigma"}, path)
-            for key in ("center", "sigma"):
-                if key not in params:
-                    raise ScenarioSyntaxError(f"{path}: wavepacket needs {key!r}")
-            return gaussian_wavepacket(
-                system.grid,
-                _as_float(params["center"], f"{path}.center"),
-                _as_float(params["sigma"], f"{path}.sigma"),
-                tol,
-            )
-        raise UnknownModel(f"{path}: unknown grid state {name!r}")
-    raise UnknownModel(f"{path}: custom systems take inline matrices only")
-
-
-def _parse_unitary(node, system: _System, tol: Tolerances, path: str) -> UnitaryOp:
-    if isinstance(node, dict) and "matrix" in node:
-        _fail_unknown_keys(node, {"matrix"}, path)
-        m = _parse_matrix(node["matrix"], f"{path}.matrix")
-        if m.shape[0] != system.dim:
-            raise DimensionMismatch(
-                f"{path}: matrix dim {m.shape[0]} != system dim {system.dim}"
-            )
-        return core.validate_unitary(m, tol)
-    name, params = _named_node(node, path)
-    if name == "identity":
-        _fail_unknown_keys(params, set(), path)
-        return core.validate_unitary(np.eye(system.dim), tol)
-    if system.model == "spin_half":
-        lib = spin_half_library(tol)
-        named = {
-            "hadamard": lib.hadamard.matrix,
-            "sigma_x": lib.sigma_x,
-            "sigma_y": lib.sigma_y,
-            "sigma_z": lib.sigma_z,
-        }
-        if name in named:
-            _fail_unknown_keys(params, set(), path)
-            return core.validate_unitary(named[name], tol)
-        raise UnknownModel(f"{path}: unknown spin_half unitary {name!r}")
-    if system.model == "grid":
-        if name == "free_particle":
-            _fail_unknown_keys(params, {"mass", "time"}, path)
-            for key in ("mass", "time"):
-                if key not in params:
-                    raise ScenarioSyntaxError(f"{path}: free_particle needs {key!r}")
-            return free_particle_unitary(
-                system.grid,
-                _as_float(params["mass"], f"{path}.mass"),
-                _as_float(params["time"], f"{path}.time"),
-                tol,
-            )
-        raise UnknownModel(f"{path}: unknown grid unitary {name!r}")
-    raise UnknownModel(f"{path}: unknown unitary {name!r} for custom system")
+    return _System(model="spin_half", dim=2)
 
 
 def _parse_centers(node, path: str) -> list[float]:
     if isinstance(node, list):
         return [_as_float(c, f"{path}[{k}]") for k, c in enumerate(node)]
-    node = _require_mapping(node, path)
-    _fail_unknown_keys(node, {"start", "stop", "spacing"}, path)
-    for key in ("start", "stop", "spacing"):
-        if key not in node:
-            raise ScenarioSyntaxError(f"{path}: centers range needs {key!r}")
+    node = _fields(node, path, ("start", "stop", "spacing"))
     start = _as_float(node["start"], f"{path}.start")
     stop = _as_float(node["stop"], f"{path}.stop")
     spacing = _as_float(node["spacing"], f"{path}.spacing")
@@ -336,84 +247,104 @@ def _parse_centers(node, path: str) -> list[float]:
     return [start + k * spacing for k in range(count)]
 
 
-def _parse_instrument(node, system: _System, tol: Tolerances, path: str) -> Instrument | None:
-    if isinstance(node, str) and node == "none":
-        return None
-    if isinstance(node, str) and node == "trivial":
-        return trivial_instrument(system.dim, tol)
-    if isinstance(node, dict) and "effects" in node:
-        _fail_unknown_keys(node, {"effects"}, path)
-        eff_nodes = node["effects"]
-        if not isinstance(eff_nodes, list) or not eff_nodes:
-            raise ScenarioSyntaxError(f"{path}.effects: expected a nonempty list")
-        effects = []
-        for k, e in enumerate(eff_nodes):
-            e = _require_mapping(e, f"{path}.effects[{k}]")
-            _fail_unknown_keys(e, {"label", "index", "matrix"}, f"{path}.effects[{k}]")
-            for key in ("label", "matrix"):
-                if key not in e:
-                    raise ScenarioSyntaxError(f"{path}.effects[{k}]: missing {key!r}")
-            m = _parse_matrix(e["matrix"], f"{path}.effects[{k}].matrix")
-            if m.shape[0] != system.dim:
-                raise DimensionMismatch(
-                    f"{path}.effects[{k}]: matrix dim {m.shape[0]} != system dim {system.dim}"
-                )
-            effects.append(Effect(
-                _as_str(e["label"], f"{path}.effects[{k}].label"),
-                _as_int(e.get("index", 0), f"{path}.effects[{k}].index"),
-                m,
-            ))
-        return core.validate_instrument(effects, tol)
-    name, params = _named_node(node, path)
-    if name == "trivial":
-        _fail_unknown_keys(params, set(), path)
-        return trivial_instrument(system.dim, tol)
-    if system.model == "spin_half":
-        lib = spin_half_library(tol)
-        named = {
-            "projective_x": lib.projective_x,
-            "projective_y": lib.projective_y,
-            "projective_z": lib.projective_z,
-            "fuzzy": lib.fuzzy,
-        }
-        if name in named:
-            _fail_unknown_keys(params, set(), path)
-            return named[name]
-        if name == "directions":
-            _fail_unknown_keys(params, {"directions"}, path)
-            dirs_node = params.get("directions", "axes")
-            if dirs_node == "axes":
-                from .models import AXIS_DIRECTIONS
+def _parse_directions(node, path: str) -> tuple:
+    if node == "axes":
+        return AXIS_DIRECTIONS
+    if not isinstance(node, list):
+        raise ScenarioSyntaxError(f"{path}: expected 'axes' or a list")
+    vecs = []
+    for k, v in enumerate(node):
+        if not isinstance(v, list) or len(v) != 3:
+            raise ScenarioSyntaxError(f"{path}[{k}]: expected a 3-vector")
+        vecs.append(tuple(_as_float(c, f"{path}[{k}][{j}]") for j, c in enumerate(v)))
+    return tuple(vecs)
 
-                dirs = SpinDirectionSet(AXIS_DIRECTIONS)
-            elif isinstance(dirs_node, list):
-                vecs = []
-                for k, v in enumerate(dirs_node):
-                    if not isinstance(v, list) or len(v) != 3:
-                        raise ScenarioSyntaxError(
-                            f"{path}.directions[{k}]: expected a 3-vector"
-                        )
-                    vecs.append(tuple(_as_float(c, f"{path}.directions[{k}][{j}]")
-                                      for j, c in enumerate(v)))
-                dirs = SpinDirectionSet(tuple(vecs))
-            else:
-                raise ScenarioSyntaxError(f"{path}.directions: expected 'axes' or a list")
-            return spin_direction_instrument(dirs, tol)
-        raise UnknownModel(f"{path}: unknown spin_half instrument {name!r}")
-    if system.model == "grid":
-        if name == "gaussian":
-            _fail_unknown_keys(params, {"width", "centers"}, path)
-            for key in ("width", "centers"):
-                if key not in params:
-                    raise ScenarioSyntaxError(f"{path}: gaussian needs {key!r}")
-            return gaussian_instrument(
-                system.grid,
-                _as_float(params["width"], f"{path}.width"),
-                _parse_centers(params["centers"], f"{path}.centers"),
-                tol,
-            )
-        raise UnknownModel(f"{path}: unknown grid instrument {name!r}")
-    raise UnknownModel(f"{path}: unknown instrument {name!r} for custom system")
+
+# Library parameters are numbers, except these.
+_PARAM_PARSERS = {"centers": _parse_centers, "directions": _parse_directions}
+
+
+def _spin(attr: str):
+    """Builder for a named spin-1/2 library object; bare matrices become unitaries."""
+    def build(system, tol):
+        obj = getattr(spin_half_library(tol), attr)
+        return core.validate_unitary(obj, tol) if isinstance(obj, np.ndarray) else obj
+    return build
+
+
+# (model, role, name) -> (required params, optional params with defaults, builder).
+# Model None marks names every system has. Builders take (system, tol, **params).
+_LIBRARY = {
+    (None, "unitary", "identity"): (
+        (), {}, lambda system, tol: core.validate_unitary(np.eye(system.dim), tol)),
+    (None, "instrument", "trivial"): (
+        (), {}, lambda system, tol: trivial_instrument(system.dim, tol)),
+    **{("spin_half", role, name): ((), {}, _spin(name)) for role, names in (
+        ("state", ("up_z", "down_z", "up_x", "mixed")),
+        ("unitary", ("hadamard", "sigma_x", "sigma_y", "sigma_z")),
+        ("instrument", ("projective_x", "projective_y", "projective_z", "fuzzy")),
+    ) for name in names},
+    ("spin_half", "state", "near_identity"): (
+        ("epsilon",), {},
+        lambda system, tol, epsilon: spin_half_library(tol).near_identity(epsilon, tol)),
+    ("spin_half", "instrument", "directions"): (
+        (), {"directions": "axes"},
+        lambda system, tol, directions: spin_direction_instrument(directions, tol)),
+    ("grid", "state", "wavepacket"): (
+        ("center", "sigma"), {},
+        lambda system, tol, center, sigma: gaussian_wavepacket(system.grid, center, sigma, tol)),
+    ("grid", "unitary", "free_particle"): (
+        ("mass", "time"), {},
+        lambda system, tol, mass, time: free_particle_unitary(system.grid, mass, time, tol)),
+    ("grid", "instrument", "gaussian"): (
+        ("width", "centers"), {},
+        lambda system, tol, width, centers: gaussian_instrument(system.grid, width, centers, tol)),
+}
+
+
+def _parse_named(node, role: str, system: _System, tol: Tolerances, path: str):
+    """Resolve 'name' or {name: ..., params...} against the library for ``role``."""
+    if isinstance(node, str):
+        name, params = node, {}
+    else:
+        params = dict(_fields(node, path, ("name",), node))
+        name = _as_str(params.pop("name"), f"{path}.name")
+    entry = _LIBRARY.get((None, role, name)) or _LIBRARY.get((system.model, role, name))
+    if entry is None:
+        raise UnknownModel(f"{path}: unknown {system.model} {role} {name!r}")
+    required, optional, build = entry
+    params = {**optional, **_fields(params, path, required, optional)}
+    return build(system, tol, **{
+        key: _PARAM_PARSERS.get(key, _as_float)(params[key], f"{path}.{key}")
+        for key in (*required, *optional)
+    })
+
+
+def _parse_operator(node, role: str, system: _System, tol: Tolerances, path: str):
+    """A state or a unitary: an inline {matrix: ...} or a library name."""
+    if isinstance(node, dict) and "matrix" in node:
+        m = _parse_matrix(_fields(node, path, ("matrix",))["matrix"], system.dim, f"{path}.matrix")
+        return (core.validate_density if role == "state" else core.validate_unitary)(m, tol)
+    return _parse_named(node, role, system, tol, path)
+
+
+def _parse_instrument(node, system: _System, tol: Tolerances, path: str) -> Instrument | None:
+    if node == "none":
+        return None
+    if not (isinstance(node, dict) and "effects" in node):
+        return _parse_named(node, "instrument", system, tol, path)
+    effects = []
+    for k, e in enumerate(_nonempty_list(_fields(node, path, ("effects",))["effects"],
+                                         f"{path}.effects")):
+        where = f"{path}.effects[{k}]"
+        e = _fields(e, where, ("label", "matrix"), ("index",))
+        m = _parse_matrix(e["matrix"], system.dim, f"{where}.matrix")
+        effects.append(Effect(_as_str(e["label"], f"{where}.label"),
+                              _as_int(e.get("index", 0), f"{where}.index"), m))
+    return core.validate_instrument(effects, tol)
+
+
+_OPTION_PARSERS = {float: _as_float, int: _as_int, str: _as_str}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -426,25 +357,13 @@ def parse_scenario(text: str) -> Scenario:
         column = mark.column + 1 if mark is not None else None
         where = f" at line {line}, column {column}" if line is not None else ""
         raise ScenarioSyntaxError(f"not valid YAML{where}: {exc}", line=line, column=column)
-    doc = _require_mapping(doc, "scenario")
-    _fail_unknown_keys(
-        doc, {"system", "initial_state", "steps", "checks", "S", "check_options"},
-        "scenario",
-    )
-    for key in ("system", "initial_state", "steps", "checks"):
-        if key not in doc:
-            raise ScenarioSyntaxError(f"scenario: missing key {key!r}")
+    doc = _fields(doc, "scenario", ("system", "initial_state", "steps", "checks"),
+                  ("S", "check_options"))
 
-    opts_node = _require_mapping(doc.get("check_options", {}) or {}, "check_options")
-    _fail_unknown_keys(opts_node, set(_OPTION_DEFAULTS), "check_options")
     opts = dict(_OPTION_DEFAULTS)
-    for key, value in opts_node.items():
-        if key in ("validation_tol", "decoherence_tol", "alpha"):
-            opts[key] = _as_float(value, f"check_options.{key}")
-        elif key in ("shots", "seed", "budget"):
-            opts[key] = _as_int(value, f"check_options.{key}")
-        else:
-            opts[key] = _as_str(value, f"check_options.{key}")
+    for key, value in _fields(doc.get("check_options") or {}, "check_options",
+                              (), _OPTION_DEFAULTS).items():
+        opts[key] = _OPTION_PARSERS[type(_OPTION_DEFAULTS[key])](value, f"check_options.{key}")
     if opts["subset_policy"] not in ("all", "singletons"):
         raise ScenarioSyntaxError("check_options.subset_policy: expected 'all' or 'singletons'")
     if opts["kent_policy"] not in ("all", "singletons_plus_full"):
@@ -454,31 +373,18 @@ def parse_scenario(text: str) -> Scenario:
     tol = Tolerances(validation=opts["validation_tol"], decoherence=opts["decoherence_tol"])
 
     system = _parse_system(doc["system"], "system")
-    initial = _parse_state(doc["initial_state"], system, tol, "initial_state")
-
-    steps_node = doc["steps"]
-    if not isinstance(steps_node, list) or not steps_node:
-        raise ScenarioSyntaxError("steps: expected a nonempty list")
+    initial = _parse_operator(doc["initial_state"], "state", system, tol, "initial_state")
     steps = []
-    for k, s in enumerate(steps_node):
-        s = _require_mapping(s, f"steps[{k}]")
-        _fail_unknown_keys(s, {"unitary", "instrument"}, f"steps[{k}]")
-        for key in ("unitary", "instrument"):
-            if key not in s:
-                raise ScenarioSyntaxError(
-                    f"steps[{k}]: missing {key!r} (use 'identity' / 'none' explicitly)"
-                )
+    for k, s in enumerate(_nonempty_list(doc["steps"], "steps")):
+        s = _fields(s, f"steps[{k}]", ("unitary", "instrument"))
         steps.append(Step(
-            unitary=_parse_unitary(s["unitary"], system, tol, f"steps[{k}].unitary"),
+            unitary=_parse_operator(s["unitary"], "unitary", system, tol, f"steps[{k}].unitary"),
             instrument=_parse_instrument(s["instrument"], system, tol, f"steps[{k}].instrument"),
         ))
     spec = HistorySpec(initial=initial, steps=tuple(steps))
 
-    checks_node = doc["checks"]
-    if not isinstance(checks_node, list) or not checks_node:
-        raise ScenarioSyntaxError("checks: expected a nonempty list")
     checks = []
-    for k, c in enumerate(checks_node):
+    for k, c in enumerate(_nonempty_list(doc["checks"], "checks")):
         name = _as_str(c, f"checks[{k}]")
         if name not in CHECK_NAMES:
             raise ScenarioSyntaxError(
@@ -492,14 +398,11 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(subset_node, list):
         raise ScenarioSyntaxError("S: expected a list of step positions")
     subset = tuple(_as_int(v, f"S[{k}]") for k, v in enumerate(subset_node))
-    from .histories import _normalize_subset
-
-    subset = _normalize_subset(spec, subset)
 
     return Scenario(
         spec=spec,
         checks=tuple(checks),
-        subset=subset,
+        subset=_normalize_subset(spec, subset),
         tolerances=tol,
         subset_policy=opts["subset_policy"],
         kent_policy=opts["kent_policy"],
@@ -582,32 +485,10 @@ def run_scenario(scenario: Scenario) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _witness_to_json(w: Witness) -> dict:
-    def encode(obj):
-        if isinstance(obj, tuple):
-            return [encode(o) for o in obj]
-        return obj
-
-    return {"location": encode(w.location), "residual": w.residual}
-
-
 def _tuplify(obj):
     if isinstance(obj, list):
         return tuple(_tuplify(o) for o in obj)
     return obj
-
-
-def _criterion_to_json(r: CriterionReport) -> dict:
-    return {
-        "criterion": r.criterion,
-        "verdict": r.verdict,
-        "max_residual": r.max_residual,
-        "witnesses": [_witness_to_json(w) for w in r.witnesses],
-        "per_subset": None if r.per_subset is None else
-            [[list(subset), residual] for subset, residual in r.per_subset],
-        "policy": r.policy,
-        "notes": list(r.notes),
-    }
 
 
 def _criterion_from_json(d: dict) -> CriterionReport:
@@ -637,17 +518,8 @@ def _dist_from_json(rows: list) -> dict:
 
 
 def _protocol_to_json(r: ProtocolResult) -> dict:
-    return {
-        "dist_with": _dist_to_json(r.dist_with),
-        "dist_without": _dist_to_json(r.dist_without),
-        "tv_distance": r.tv_distance,
-        "exact_tv": r.exact_tv,
-        "consistent": r.consistent,
-        "statistic": r.statistic,
-        "p_value": r.p_value,
-        "dof": r.dof,
-        "mode": r.mode,
-    }
+    return {**asdict(r), "dist_with": _dist_to_json(r.dist_with),
+            "dist_without": _dist_to_json(r.dist_without)}
 
 
 def _protocol_from_json(d: dict) -> ProtocolResult:
@@ -668,8 +540,7 @@ def report_to_json(report: Report) -> dict:
     checks = []
     for name, payload in report.checks:
         if isinstance(payload, CriterionReport):
-            checks.append({"check": name, "kind": "criterion",
-                           "report": _criterion_to_json(payload)})
+            checks.append({"check": name, "kind": "criterion", "report": asdict(payload)})
         else:
             checks.append({"check": name, "kind": "protocol",
                            "result": _protocol_to_json(payload)})

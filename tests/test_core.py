@@ -98,6 +98,17 @@ class TestValidateInstrument:
         with pytest.raises(IncompleteInstrument):
             validate_instrument([lib.projective_z.effects[0]])
 
+    def test_incomplete_diagonal_residual_matches_dense_sum(self):
+        """An incomplete all-diagonal instrument is refused with the dense sum A'A residual."""
+        rng = np.random.default_rng(5)
+        diags = 0.3 * (rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16)))
+        effects = [Effect(str(k), 0, np.diag(d)) for k, d in enumerate(diags)]
+        dense = sum(e.matrix.conj().T @ e.matrix for e in effects)
+        expected = float(np.max(np.abs(dense - np.eye(16))))
+        with pytest.raises(IncompleteInstrument) as err:
+            validate_instrument(effects)
+        assert abs(err.value.residual - expected) <= 1e-15
+
     def test_kind_inference_projective(self):
         """Orthogonal projectors are classified as projective."""
         lib = spin_half_library()

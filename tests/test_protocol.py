@@ -29,7 +29,7 @@ from decohist import (
     tv_distance,
 )
 from decohist import protocol
-from decohist.protocol import _ensemble_stream, _sample_counts
+from decohist.protocol import _chi_square_tail, _ensemble_stream, _sample_counts
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -94,9 +94,31 @@ class TestTvDistance:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """Importing decohist does not pay for scipy.stats."""
-    code = "import sys, decohist\nprint('scipy.stats' in sys.modules)"
-    assert _run_python(code).strip() == "False"
+    """Importing decohist loads no scipy module at all."""
+    code = ("import sys, decohist\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _run_python(code).strip() == "[]"
+
+
+def test_cli_runs_without_scipy():
+    """The protocol fixture runs end to end when scipy cannot be imported."""
+    fixture = Path(__file__).resolve().parents[1] / "fixtures" / "interference.yaml"
+    code = ("import sys\nsys.modules['scipy'] = None\n"
+            "from decohist.cli import main\n"
+            f"print('exit', main(['check', {str(fixture)!r}]))")
+    out = _run_python(code)
+    assert "[protocol] verdict: FAIL (inconsistent)" in out
+    assert out.rstrip().endswith("exit 1")
+
+
+@pytest.mark.parametrize("dof", [*range(1, 60), 99, 100, 255, 256, 1000, 2024, 5000])
+def test_chi_square_tail_matches_scipy(dof):
+    """The stdlib chi-square tail agrees with scipy's chdtrc to 1e-10 relative."""
+    chdtrc = pytest.importorskip("scipy.special").chdtrc
+    for x in np.linspace(0.0, 5 * dof + 50, 200):
+        expected = chdtrc(dof, x)
+        if expected > 1e-300:
+            assert _chi_square_tail(dof, float(x)) == pytest.approx(expected, rel=1e-10, abs=0)
 
 
 class TestMeasureAndForget:

@@ -1,22 +1,33 @@
 """Tests for scenario parsing, report serialization, and the command line."""
 
-import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
+import decohist
 from decohist import (
+    DimensionMismatch,
+    GridSystem,
     ScenarioSyntaxError,
     UnknownKey,
     UnknownModel,
     emit_report,
+    gaussian_instrument,
     parse_report,
     parse_scenario,
     run_scenario,
+    spin_direction_instrument,
+    spin_half_library,
+    validate_unitary,
     with_overrides,
 )
 from decohist.cli import main as cli_main
+from decohist.models import SIGMA_Y, SIGMA_Z
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -111,6 +122,142 @@ checks: [weak]
         assert report.verdicts() == (False,)
 
 
+SPIN = {"model": "spin_half"}
+GRID = {"model": "grid", "n_points": 64, "x_min": -16.0, "x_max": 16.0}
+CUSTOM = {"model": "custom", "dim": 2}
+MIXED_MATRIX = {"matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}
+EYE3 = [[[1.0 if r == c else 0.0, 0.0] for c in range(3)] for r in range(3)]
+PACKET = {"name": "wavepacket", "center": 0.0, "sigma": 1.0}
+CENTERS = {"start": -24.0, "stop": 24.0, "spacing": 2.0}
+
+
+def _document(system=SPIN, initial_state="up_z", unitary="identity",
+              instrument="projective_z", step=None, **extra):
+    """A one-step scenario document with the given pieces, as YAML text."""
+    if step is None:
+        step = {"unitary": unitary, "instrument": instrument}
+    doc = {"system": system, "initial_state": initial_state, "steps": [step],
+           "checks": ["weak"], **extra}
+    return yaml.safe_dump(doc)
+
+
+def _grid(**pieces):
+    return _document(system=GRID, initial_state=pieces.pop("initial_state", PACKET), **pieces)
+
+
+def _custom(**pieces):
+    return _document(system=CUSTOM, initial_state=pieces.pop("initial_state", MIXED_MATRIX),
+                     **pieces)
+
+
+# (document, exception type, text the message must contain)
+MALFORMED = {
+    "near_identity-missing-epsilon": (
+        _document(initial_state={"name": "near_identity"}), ScenarioSyntaxError, "epsilon"),
+    "wavepacket-missing-sigma": (
+        _grid(initial_state={"name": "wavepacket", "center": 0.0}), ScenarioSyntaxError, "sigma"),
+    "free_particle-missing-time": (
+        _grid(unitary={"name": "free_particle", "mass": 1.0}), ScenarioSyntaxError, "time"),
+    "gaussian-missing-centers": (
+        _grid(instrument={"name": "gaussian", "width": 2.0}), ScenarioSyntaxError, "centers"),
+    "near_identity-unknown-param": (
+        _document(initial_state={"name": "near_identity", "epsilon": 0.1, "delta": 1}),
+        UnknownKey, "delta"),
+    "up_z-unknown-param": (
+        _document(initial_state={"name": "up_z", "epsilon": 0.1}), UnknownKey, "epsilon"),
+    "gaussian-unknown-param": (
+        _grid(instrument={"name": "gaussian", "width": 2.0, "centers": CENTERS, "height": 1}),
+        UnknownKey, "height"),
+    "spin-unknown-state": (_document(initial_state="sideways"), UnknownModel, "sideways"),
+    "spin-unknown-unitary": (_document(unitary="rotate"), UnknownModel, "rotate"),
+    "spin-unknown-instrument": (_document(instrument="projective_w"), UnknownModel, "projective_w"),
+    "grid-unknown-state": (_grid(initial_state="up_z"), UnknownModel, "up_z"),
+    "grid-unknown-unitary": (_grid(unitary="hadamard"), UnknownModel, "hadamard"),
+    "grid-unknown-instrument": (_grid(instrument="fuzzy"), UnknownModel, "fuzzy"),
+    "custom-named-state": (_custom(initial_state="up_z"), UnknownModel, "initial_state"),
+    "custom-unknown-unitary": (_custom(unitary="hadamard"), UnknownModel, "hadamard"),
+    "custom-unknown-instrument": (_custom(instrument="fuzzy"), UnknownModel, "fuzzy"),
+    "centers-missing-spacing": (
+        _grid(instrument={"name": "gaussian", "width": 2.0,
+                          "centers": {"start": -24.0, "stop": 24.0}}),
+        ScenarioSyntaxError, "spacing"),
+    "centers-stop-below-start": (
+        _grid(instrument={"name": "gaussian", "width": 2.0,
+                          "centers": {"start": 24.0, "stop": -24.0, "spacing": 2.0}}),
+        ScenarioSyntaxError, "stop"),
+    "directions-not-a-list": (
+        _document(instrument={"name": "directions", "directions": "diagonals"}),
+        ScenarioSyntaxError, "directions"),
+    "directions-short-vector": (
+        _document(instrument={"name": "directions", "directions": [[1.0, 0.0]]}),
+        ScenarioSyntaxError, "directions[0]"),
+    "state-matrix-wrong-dim": (
+        _document(initial_state={"matrix": EYE3}), DimensionMismatch, "initial_state"),
+    "unitary-matrix-wrong-dim": (
+        _document(unitary={"matrix": EYE3}), DimensionMismatch, "steps[0].unitary"),
+    "effect-matrix-wrong-dim": (
+        _document(instrument={"effects": [{"label": "0", "matrix": EYE3}]}),
+        DimensionMismatch, "effects[0]"),
+    "effect-without-label": (
+        _document(instrument={"effects": [{"matrix": MIXED_MATRIX["matrix"]}]}),
+        ScenarioSyntaxError, "label"),
+    "step-without-instrument": (
+        _document(step={"unitary": "identity"}), ScenarioSyntaxError, "instrument"),
+    "unknown-model": (_document(system={"model": "qutrit"}), UnknownModel, "qutrit"),
+    "custom-dim-zero": (
+        _document(system={"model": "custom", "dim": 0}, initial_state=MIXED_MATRIX),
+        ScenarioSyntaxError, "dim"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_rejected(case):
+    """Each malformed document raises its typed error, naming the offending key or name."""
+    text, error, needle = MALFORMED[case]
+    with pytest.raises(error) as err:
+        parse_scenario(text)
+    assert needle in str(err.value)
+
+
+def _first_step(text):
+    spec = parse_scenario(text).spec
+    return spec.initial, spec.steps[0].unitary, spec.steps[0].instrument
+
+
+def _bits(obj):
+    """Bitwise-comparable form of a state, a unitary or an instrument."""
+    if hasattr(obj, "effects"):
+        return obj.kind, [(e.outcome_label, e.internal_index, e.matrix.tobytes())
+                          for e in obj.effects]
+    return obj.matrix.tobytes()
+
+
+LIB = spin_half_library()
+GRID_SYSTEM = GridSystem(n_points=64, x_min=-16.0, x_max=16.0)
+TILTED = [[0.6, 0.8, 0.0], [-0.6, -0.8, 0.0]]
+LIST_CENTERS = [-24.0 + 3.0 * k for k in range(17)]
+
+# Library names no fixture uses: (document, piece of the first step, models API value)
+UNUSED_NAMES = {
+    "down_z": (_document(initial_state="down_z"), 0, LIB.down_z),
+    "up_x": (_document(initial_state="up_x"), 0, LIB.up_x),
+    "near_identity": (_document(initial_state={"name": "near_identity", "epsilon": 0.3}), 0,
+                      LIB.near_identity(0.3)),
+    "sigma_y": (_document(unitary="sigma_y"), 1, validate_unitary(SIGMA_Y)),
+    "sigma_z": (_document(unitary="sigma_z"), 1, validate_unitary(SIGMA_Z)),
+    "list-centers": (_grid(instrument={"name": "gaussian", "width": 2.0, "centers": LIST_CENTERS}),
+                     2, gaussian_instrument(GRID_SYSTEM, 2.0, LIST_CENTERS)),
+    "list-directions": (_document(instrument={"name": "directions", "directions": TILTED}), 2,
+                        spin_direction_instrument(TILTED)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNUSED_NAMES))
+def test_unused_library_names_match_models_api(name):
+    """Names no fixture exercises resolve to exactly what the models API builds."""
+    text, piece, expected = UNUSED_NAMES[name]
+    assert _bits(_first_step(text)[piece]) == _bits(expected)
+
 class TestOverrides:
     def test_tolerance_and_seed(self):
         """Command-line style overrides replace the stored options."""
@@ -163,11 +310,11 @@ class TestReports:
         assert a == b
 
     def test_structured_roundtrip(self):
-        """Parsing an emitted report reproduces the report object."""
-        scenario = parse_scenario((FIXTURES / "interference.yaml").read_text())
-        report = run_scenario(scenario)
-        again = parse_report(emit_report(report, "structured"))
-        assert again == report
+        """Parsing an emitted report reproduces the report object, for every fixture."""
+        for path in sorted(FIXTURES.glob("*.yaml")):
+            report = run_scenario(parse_scenario(path.read_text()))
+            again = parse_report(emit_report(report, "structured"))
+            assert again == report, path.name
 
     def test_structured_is_json_with_versions(self):
         """Structured output is valid JSON carrying both version stamps."""
@@ -244,10 +391,12 @@ class TestCli:
 # SHA-256 of emit_report(run_scenario(parse_scenario(F)), "structured") for
 # every shipped fixture. A change to the propagation code must leave these
 # bytes alone; a deliberate change to a report updates its digest here. The
-# digests were taken with numpy 2.4 on OpenBLAS 0.3.31 (Haswell kernels);
-# other BLAS builds may differ in the last bits of some floats.
+# digests were taken with numpy 2.4 on OpenBLAS 0.3.31, one BLAS thread and
+# OPENBLAS_CORETYPE=Haswell, the environment the pinned_digests fixture sets.
+# Other OpenBLAS kernels (SkylakeX, Zen, Sandybridge) differ in the last bits
+# of the measurement-based residuals of free_particle.yaml.
 FIXTURE_REPORT_SHA256 = {
-    "free_particle.yaml": "93da2bbf126126840de7d3a284e6e9949309b205ab4fb301432df786497a2b31",
+    "free_particle.yaml": "112ac4df52a74b28dbc9a27e5c83534a4d6cf10f251403b8623d93d037704d7d",
     "fuzzy_measurement.yaml": "ff3bfaf46d3e8f99c3708358f9cb5826cae82ef42ddaff4a532ee4bb80feb502",
     "fuzzy_then_trivial.yaml": "10f89091f58f923b1fa8fa27ea685054bd9a83b6285f7ffae249d491b494cf38",
     "gaussian_static.yaml": "49c5cdb93c246185978a73a99a24870a6e470c7401c1be830c2342fdf2a794c2",
@@ -257,10 +406,32 @@ FIXTURE_REPORT_SHA256 = {
     "spin_xy.yaml": "93dc066027b8b302c0a8ff152d104118861fe6601aee688f299eccccdf93d18b",
 }
 
+_DIGEST_CODE = """
+import hashlib, json, sys
+from pathlib import Path
+from decohist import emit_report, parse_scenario, run_scenario
+digests = {}
+for path in sorted(Path(sys.argv[1]).glob("*.yaml")):
+    out = emit_report(run_scenario(parse_scenario(path.read_text(encoding="utf-8"))), "structured")
+    digests[path.name] = hashlib.sha256(out.encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+@pytest.fixture(scope="module")
+def pinned_digests():
+    """Report digests of every fixture from one child process with one BLAS
+    thread and Haswell kernels, whatever the environment of the test run."""
+    src = str(Path(decohist.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell"}
+    done = subprocess.run([sys.executable, "-c", _DIGEST_CODE, str(FIXTURES)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_REPORT_SHA256))
-def test_fixture_report_bytes_are_pinned(name):
+def test_fixture_report_bytes_are_pinned(name, pinned_digests):
     """Each fixture's structured report hashes to its pinned digest."""
-    text = (FIXTURES / name).read_text(encoding="utf-8")
-    out = emit_report(run_scenario(parse_scenario(text)), "structured")
-    assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_REPORT_SHA256[name]
+    assert pinned_digests[name] == FIXTURE_REPORT_SHA256[name]

@@ -1,8 +1,13 @@
 """Validated complex-matrix algebra and quantum measurement primitives.
 
-All operators and states are dense square complex128 arrays (dimensionless,
-hbar = 1). Arrays held by the value types are read-only copies, so every value
-is immutable after construction and safe to share across threads.
+States and unitaries are dense square complex128 arrays (dimensionless,
+hbar = 1). A measurement effect is either a dense square matrix or a 1-d
+vector that declares a diagonal effect by its diagonal; an instrument whose
+effects all declare diagonals gets O(k d) channels and probabilities. The
+structure is declared, never detected: a dense matrix that happens to be
+diagonal takes the generic path. Arrays held by the value types are
+read-only copies, so every value is immutable after construction and safe to
+share across threads.
 
 Tolerances are absolute, not relative: every matrix in scope (states,
 projectors, contractions) has entries bounded by about 1, so an absolute
@@ -58,6 +63,17 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def as_complex_vector(v, name: str = "vector") -> np.ndarray:
+    """Coerce input to a read-only nonempty 1-d complex128 array (a copy)."""
+    arr = np.array(v, dtype=np.complex128)
+    if arr.ndim != 1 or arr.shape[0] < 1:
+        raise DimensionMismatch(f"{name} must be a nonempty vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} contains non-finite entries")
+    arr.setflags(write=False)
+    return arr
+
+
 def hermiticity_residual(m: np.ndarray) -> float:
     """max |M - M'| over entries."""
     return float(np.max(np.abs(m - m.conj().T)))
@@ -98,22 +114,45 @@ class UnitaryOp:
 
 @dataclass(frozen=True, eq=False)
 class Effect:
-    """One measurement operator A_{mu i}: outcome label mu, internal index i."""
+    """One measurement operator A_{mu i}: outcome label mu, internal index i.
+
+    ``operator`` is a square matrix, or a 1-d vector declaring a diagonal
+    effect by its diagonal.
+    """
 
     outcome_label: str
     internal_index: int
-    matrix: np.ndarray
+    operator: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.outcome_label, str) or not self.outcome_label:
             raise ValidationError("outcome_label must be a nonempty string")
         if not isinstance(self.internal_index, int) or self.internal_index < 0:
             raise ValidationError("internal_index must be a nonnegative integer")
-        object.__setattr__(self, "matrix", as_complex_matrix(self.matrix, "effect"))
+        if np.ndim(self.operator) == 1:
+            op = as_complex_vector(self.operator, "effect diagonal")
+        else:
+            op = as_complex_matrix(self.operator, "effect")
+        object.__setattr__(self, "operator", op)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.operator.shape[0]
+
+    @property
+    def diagonal(self) -> np.ndarray | None:
+        """The declared diagonal, or None for a dense effect."""
+        return self.operator if self.operator.ndim == 1 else None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense operator. A declared diagonal is expanded on every call,
+        not cached, so only the dense consumers that need it pay d^2 bytes."""
+        if self.operator.ndim == 2:
+            return self.operator
+        m = np.diag(self.operator)
+        m.setflags(write=False)
+        return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +206,8 @@ class Instrument:
 
     @functools.cached_property
     def _diagonal_stack(self):
-        """(n_effects, dim) array of diagonals if every effect is exactly diagonal, else None."""
-        return _diagonals(self.effects)
+        """(n_effects, dim) stack of the declared diagonals, or None."""
+        return _declared_diagonals(self.effects)
 
     @functools.cached_property
     def _damping_matrix(self):
@@ -208,15 +247,11 @@ class Instrument:
         return out
 
 
-def _diagonals(effects: tuple[Effect, ...]):
-    """(n_effects, dim) array of diagonals if every effect is exactly diagonal, else None."""
-    diags = []
-    for e in effects:
-        d = np.diagonal(e.matrix)
-        if np.count_nonzero(e.matrix) != np.count_nonzero(d):  # a nonzero off the diagonal
-            return None
-        diags.append(d)
-    out = np.array(diags)
+def _declared_diagonals(effects: tuple[Effect, ...]):
+    """(n_effects, dim) stack of diagonals if every effect declares one, else None."""
+    if any(e.diagonal is None for e in effects):
+        return None
+    out = np.array([e.diagonal for e in effects])
     out.setflags(write=False)
     return out
 
@@ -246,11 +281,22 @@ def validate_unitary(m, tol: Tolerances = DEFAULT_TOLERANCES) -> UnitaryOp:
     return UnitaryOp(arr)
 
 
-def _is_projective(effects: tuple[Effect, ...], tol: Tolerances) -> bool:
-    """Projective iff Hermitian, idempotent, mutually exclusive, one index per label."""
+def _is_projective(effects: tuple[Effect, ...], ds, tol: Tolerances) -> bool:
+    """Projective iff Hermitian, idempotent, mutually exclusive, one index per label.
+
+    With a stack ``ds`` of declared diagonals the three tests are taken entry
+    by entry: they bound the same residuals as the dense products, whose
+    off-diagonal entries are all zero."""
     labels = [e.outcome_label for e in effects]
     if len(set(labels)) != len(labels):
         return False
+    if ds is not None:
+        if float(np.max(np.abs(ds - ds.conj()))) > tol.validation:
+            return False
+        if float(np.max(np.abs(ds * ds - ds))) > tol.validation:
+            return False
+        return all(float(np.max(np.abs(ds[i] * ds[i + 1:]), initial=0.0)) <= tol.validation
+                   for i in range(len(ds)))
     mats = [e.matrix for e in effects]
     for a in mats:
         if hermiticity_residual(a) > tol.validation:
@@ -276,7 +322,7 @@ def validate_instrument(effects, tol: Tolerances = DEFAULT_TOLERANCES) -> Instru
     pairs = [(e.outcome_label, e.internal_index) for e in effects]
     if len(set(pairs)) != len(pairs):
         raise ValidationError("duplicate (label, index) pair in instrument")
-    diags = _diagonals(effects)
+    diags = _declared_diagonals(effects)
     if diags is not None:  # sum A'A is diagonal too: O(k d) instead of k dense products
         residual = float(np.max(np.abs(np.sum(diags.real**2 + diags.imag**2, axis=0) - 1.0)))
     else:
@@ -288,9 +334,9 @@ def validate_instrument(effects, tol: Tolerances = DEFAULT_TOLERANCES) -> Instru
         raise IncompleteInstrument(
             f"effects incomplete: |sum A'A - 1| = {residual:.3e}", residual=residual
         )
-    kind = "projective" if _is_projective(effects, tol) else "generalized"
+    kind = "projective" if _is_projective(effects, diags, tol) else "generalized"
     inst = Instrument(effects=effects, kind=kind)
-    object.__setattr__(inst, "_diagonal_stack", diags)  # first use need not detect again
+    object.__setattr__(inst, "_diagonal_stack", diags)  # shared with the checks above
     return inst
 
 

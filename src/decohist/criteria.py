@@ -449,5 +449,5 @@ def random_classical_spec(
 def trivial_instrument(dim: int, tol: Tolerances = DEFAULT_TOLERANCES) -> Instrument:
     """The single-outcome instrument {1}."""
     return core.validate_instrument(
-        [Effect(histories.TRIVIAL_LABEL, 0, np.eye(dim))], tol
+        [Effect(histories.TRIVIAL_LABEL, 0, np.ones(dim))], tol
     )

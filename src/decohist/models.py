@@ -25,6 +25,7 @@ from .core import (
 from .criteria import trivial_instrument
 from .errors import (
     AsymmetricDirectionSet,
+    BudgetExceeded,
     CoverageError,
     EdgeOverlap,
     UnresolvableWidth,
@@ -82,11 +83,7 @@ def spin_half_library(tol: Tolerances = DEFAULT_TOLERANCES) -> SpinHalfLibrary:
     {A_0 = |z+><z+| + 2^{-1/2}|z-><z-|, A_1 = 2^{-1/2}|z-><z-|}, and standard states."""
     inv_sqrt2 = 1 / np.sqrt(2)
     fuzzy = core.validate_instrument(
-        [
-            Effect("0", 0, np.diag([1.0, inv_sqrt2])),
-            Effect("1", 0, np.diag([0.0, inv_sqrt2])),
-        ],
-        tol,
+        [Effect("0", 0, [1.0, inv_sqrt2]), Effect("1", 0, [0.0, inv_sqrt2])], tol
     )
     up_z = core.validate_density(np.diag([1.0, 0.0]), tol)
     return SpinHalfLibrary(
@@ -95,7 +92,9 @@ def spin_half_library(tol: Tolerances = DEFAULT_TOLERANCES) -> SpinHalfLibrary:
         sigma_z=SIGMA_Z,
         projective_x=_projective_pair("x", SIGMA_X, tol),
         projective_y=_projective_pair("y", SIGMA_Y, tol),
-        projective_z=_projective_pair("z", SIGMA_Z, tol),
+        projective_z=core.validate_instrument(
+            [Effect("z+", 0, [1.0, 0.0]), Effect("z-", 0, [0.0, 1.0])], tol
+        ),
         fuzzy=fuzzy,
         up_z=up_z,
         down_z=core.validate_density(np.diag([0.0, 1.0]), tol),
@@ -194,6 +193,11 @@ class GridSystem:
         return op
 
 
+# Cap on the stored entries (centers x grid points) of one Gaussian instrument,
+# checked before its profiles are allocated: 2^24 float64 entries are 128 MiB.
+MAX_PROFILE_ENTRIES = 1 << 24
+
+
 def gaussian_instrument(
     grid: GridSystem,
     width: float,
@@ -206,13 +210,21 @@ def gaussian_instrument(
     renormalized per diagonal entry so that sum_mu A'A = 1 exactly, the
     discrete substitute for the continuum completeness integral. Centers
     should cover the occupied region with spacing <= width; uneven coverage
-    shows up as variation of the renormalization factor and is refused.
+    shows up as variation of the renormalization factor and is refused, and
+    more than MAX_PROFILE_ENTRIES centers x grid points are refused before
+    anything grid-sized is allocated. Effects are declared by their diagonals.
     """
     if width <= 0:
         raise ValidationError("width must be positive")
     centers = [float(mu) for mu in centers]
     if not centers:
         raise ValidationError("need at least one center")
+    entries = len(centers) * grid.n_points
+    if entries > MAX_PROFILE_ENTRIES:
+        raise BudgetExceeded(
+            f"{len(centers)} centers x {grid.n_points} grid points = {entries} entries "
+            f"exceed the cap {MAX_PROFILE_ENTRIES}"
+        )
     x = grid.positions
     profiles = np.exp(-((x[np.newaxis, :] - np.array(centers)[:, np.newaxis]) ** 2)
                       / (4 * width**2))
@@ -231,10 +243,7 @@ def gaussian_instrument(
             variation=variation,
         )
     damped = profiles / np.sqrt(weight)[np.newaxis, :]
-    effects = [
-        Effect(f"{mu:g}", 0, np.diag(damped[m]).astype(np.complex128))
-        for m, mu in enumerate(centers)
-    ]
+    effects = [Effect(f"{mu:g}", 0, damped[m]) for m, mu in enumerate(centers)]
     return core.validate_instrument(effects, tol)
 
 
@@ -290,8 +299,7 @@ def interference_circuit(classical: bool = False, tol: Tolerances = DEFAULT_TOLE
     histories are decoherent.
     """
     z_inst = core.validate_instrument(
-        [Effect("0", 0, np.diag([1.0, 0.0])), Effect("1", 0, np.diag([0.0, 1.0]))],
-        tol,
+        [Effect("0", 0, [1.0, 0.0]), Effect("1", 0, [0.0, 1.0])], tol
     )
     gate = SIGMA_X if classical else np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     u = core.validate_unitary(gate, tol)

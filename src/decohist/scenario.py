@@ -4,7 +4,8 @@ Scenarios are YAML mappings parsed fail-closed: unknown keys are errors, and
 every step must name its unitary and instrument explicitly (including
 "identity" and "none"), so a file cannot silently get default physics.
 Matrices on the wire are nested arrays of [re, im] pairs, unambiguous across
-languages.
+languages. An inline effect gives either its ``matrix`` or, to declare a
+diagonal effect, its ``diagonal`` as a flat list of [re, im] pairs.
 
 Reports carry the scenario echo, the outcome-probability table, one entry per
 requested check, and version/seed stamps. The structured form is stable,
@@ -32,6 +33,7 @@ from .criteria import (
     trivial_instrument,
 )
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
     ScenarioSyntaxError,
     UnknownKey,
@@ -48,6 +50,7 @@ from .histories import (
 )
 from .models import (
     AXIS_DIRECTIONS,
+    MAX_PROFILE_ENTRIES,
     GridSystem,
     free_particle_unitary,
     gaussian_instrument,
@@ -180,6 +183,19 @@ def _as_str(node, path: str) -> str:
     return node
 
 
+def _parse_entries(node, path: str) -> list[complex]:
+    """A nonempty list of [re, im] pairs."""
+    if not isinstance(node, list) or not node:
+        raise ScenarioSyntaxError(f"{path}: expected a nonempty list of [re, im] pairs")
+    entries = []
+    for c, cell in enumerate(node):
+        if not isinstance(cell, list) or len(cell) != 2:
+            raise ScenarioSyntaxError(f"{path}[{c}]: expected [re, im], got {cell!r}")
+        entries.append(complex(_as_float(cell[0], f"{path}[{c}][0]"),
+                               _as_float(cell[1], f"{path}[{c}][1]")))
+    return entries
+
+
 def _parse_matrix(node, dim: int, path: str) -> np.ndarray:
     """Nested arrays of [re, im] pairs forming a dim x dim matrix."""
     if not isinstance(node, list) or not node:
@@ -188,18 +204,18 @@ def _parse_matrix(node, dim: int, path: str) -> np.ndarray:
     for r, row in enumerate(node):
         if not isinstance(row, list) or len(row) != len(node):
             raise ScenarioSyntaxError(f"{path}[{r}]: matrix must be square")
-        entries = []
-        for c, cell in enumerate(row):
-            if not isinstance(cell, list) or len(cell) != 2:
-                raise ScenarioSyntaxError(
-                    f"{path}[{r}][{c}]: expected [re, im], got {cell!r}"
-                )
-            entries.append(complex(_as_float(cell[0], f"{path}[{r}][{c}][0]"),
-                                   _as_float(cell[1], f"{path}[{r}][{c}][1]")))
-        rows.append(entries)
+        rows.append(_parse_entries(row, f"{path}[{r}]"))
     if len(rows) != dim:
         raise DimensionMismatch(f"{path}: matrix dim {len(rows)} != system dim {dim}")
     return np.array(rows, dtype=np.complex128)
+
+
+def _parse_diagonal(node, dim: int, path: str) -> np.ndarray:
+    """A list of dim [re, im] pairs: the diagonal of a diagonal effect."""
+    entries = _parse_entries(node, path)
+    if len(entries) != dim:
+        raise DimensionMismatch(f"{path}: diagonal length {len(entries)} != system dim {dim}")
+    return np.array(entries, dtype=np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,6 +260,8 @@ def _parse_centers(node, path: str) -> list[float]:
     if spacing <= 0 or stop < start:
         raise ScenarioSyntaxError(f"{path}: need stop >= start and spacing > 0")
     count = int(np.floor((stop - start) / spacing + 0.5)) + 1
+    if count > MAX_PROFILE_ENTRIES:  # more than any grid of >= 2 points could take
+        raise BudgetExceeded(f"{path}: {count} centers exceed the cap {MAX_PROFILE_ENTRIES}")
     return [start + k * spacing for k in range(count)]
 
 
@@ -337,8 +355,13 @@ def _parse_instrument(node, system: _System, tol: Tolerances, path: str) -> Inst
     for k, e in enumerate(_nonempty_list(_fields(node, path, ("effects",))["effects"],
                                          f"{path}.effects")):
         where = f"{path}.effects[{k}]"
-        e = _fields(e, where, ("label", "matrix"), ("index",))
-        m = _parse_matrix(e["matrix"], system.dim, f"{where}.matrix")
+        e = _fields(e, where, ("label",), ("index", "matrix", "diagonal"))
+        if ("matrix" in e) == ("diagonal" in e):
+            raise ScenarioSyntaxError(f"{where}: give exactly one of 'matrix' and 'diagonal'")
+        if "matrix" in e:
+            m = _parse_matrix(e["matrix"], system.dim, f"{where}.matrix")
+        else:
+            m = _parse_diagonal(e["diagonal"], system.dim, f"{where}.diagonal")
         effects.append(Effect(_as_str(e["label"], f"{where}.label"),
                               _as_int(e.get("index", 0), f"{where}.index"), m))
     return core.validate_instrument(effects, tol)

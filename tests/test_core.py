@@ -6,14 +6,19 @@ import pytest
 from decohist import (
     DimensionMismatch,
     Effect,
+    HistorySpec,
     IncompleteInstrument,
     NotHermitian,
     NotPSD,
     NotUnitary,
+    Step,
     Tolerances,
     TraceNotOne,
+    ValidationError,
     apply_channel,
     apply_outcome,
+    check_measurement_based,
+    decoherence_functional,
     outcome_probabilities,
     psd_sqrt,
     spin_half_library,
@@ -293,3 +298,97 @@ class TestInstrumentStructure:
         del spec, inst
         gc.collect()
         assert ref() is None
+
+
+def _random_diagonals(rng, dim: int) -> tuple[list[tuple[str, int]], np.ndarray]:
+    """(label, index) keys and a complete (n_effects, dim) stack of complex
+    diagonals with some exact zeros; every third draw is a projective 0/1 set."""
+    n_labels = int(rng.integers(2, 4))
+    if rng.integers(3) == 0:
+        owner = rng.integers(n_labels, size=dim)
+        return ([(str(m), 0) for m in range(n_labels)],
+                (owner[np.newaxis, :] == np.arange(n_labels)[:, np.newaxis]).astype(float))
+    keys = [(str(m), i) for m in range(n_labels) for i in range(int(rng.integers(1, 3)))]
+    raw = rng.normal(size=(len(keys), dim)) + 1j * rng.normal(size=(len(keys), dim))
+    raw[rng.random(raw.shape) < 0.3] = 0.0
+    raw[0, np.all(raw == 0, axis=0)] = 1.0
+    return keys, raw / np.sqrt(np.sum(np.abs(raw) ** 2, axis=0))
+
+
+def _random_state(rng, dim: int) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _both_forms(keys, diags) -> tuple[list[Effect], list[Effect]]:
+    declared = [Effect(label, index, d) for (label, index), d in zip(keys, diags)]
+    dense = [Effect(label, index, np.diag(d)) for (label, index), d in zip(keys, diags)]
+    return declared, dense
+
+
+class TestDeclaredDiagonals:
+    def test_declared_and_dense_forms_agree(self):
+        """Random diagonal instruments give the same kind and numbers whether
+        declared as vectors (fast path) or as dense np.diag matrices (generic path)."""
+        rng = np.random.default_rng(17)
+        kinds = set()
+        for _ in range(60):
+            dim = int(rng.integers(2, 9))
+            keys, diags = _random_diagonals(rng, dim)
+            declared, dense = _both_forms(keys, diags)
+            fast, slow = validate_instrument(declared), validate_instrument(dense)
+            assert fast._diagonal_stack is not None and slow._diagonal_stack is None
+            assert fast.kind == slow.kind
+            kinds.add(fast.kind)
+
+            residuals = []
+            for effects in _both_forms(keys, 1.01 * diags):
+                with pytest.raises(IncompleteInstrument) as err:
+                    validate_instrument(effects)
+                residuals.append(err.value.residual)
+            assert abs(residuals[0] - residuals[1]) <= 1e-14
+
+            rho = _random_state(rng, dim)
+            np.testing.assert_allclose(outcome_probabilities(fast, rho),
+                                       outcome_probabilities(slow, rho), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(apply_channel(fast, rho), apply_channel(slow, rho),
+                                       rtol=0, atol=1e-14)
+            for label in fast.labels:
+                np.testing.assert_allclose(apply_outcome(fast, label, rho),
+                                           apply_outcome(slow, label, rho), rtol=0, atol=1e-14)
+
+            u = validate_unitary(np.linalg.qr(rng.normal(size=(dim, dim))
+                                              + 1j * rng.normal(size=(dim, dim)))[0])
+            initial = validate_density(rho)
+            specs = [HistorySpec(initial=initial, steps=(Step(u, inst), Step(u, inst)))
+                     for inst in (fast, slow)]
+            values = [decoherence_functional(spec).values for spec in specs]
+            np.testing.assert_allclose(values[0], values[1], rtol=0, atol=1e-14)
+            reports = [check_measurement_based(spec) for spec in specs]
+            assert [s for s, _ in reports[0].per_subset] == [s for s, _ in reports[1].per_subset]
+            for (_, a), (_, b) in zip(reports[0].per_subset, reports[1].per_subset):
+                assert abs(a - b) <= 1e-14
+        assert kinds == {"projective", "generalized"}
+
+    def test_declared_matrix_is_built_on_demand(self):
+        """A declared effect expands to its dense matrix on each call, read-only."""
+        effect = Effect("a", 0, [1.0, 0.5j])
+        first = effect.matrix
+        np.testing.assert_array_equal(first, np.diag([1.0, 0.5j]))
+        assert first is not effect.matrix
+        assert not first.flags.writeable
+        assert effect.dim == 2
+        assert Effect("a", 0, np.eye(2)).diagonal is None
+
+    def test_rejects_bad_declared_diagonals(self):
+        """Empty or non-finite diagonals, and lengths unlike their siblings', are refused."""
+        with pytest.raises(DimensionMismatch):
+            Effect("a", 0, [])
+        for bad in ([1.0, np.nan], [np.inf, 0.0], [1.0, complex(0.0, np.nan)]):
+            with pytest.raises(ValidationError):
+                Effect("a", 0, bad)
+        with pytest.raises(DimensionMismatch):
+            validate_instrument([Effect("a", 0, [1.0, 0.0]), Effect("b", 0, [0.0, 1.0, 0.0])])
+        with pytest.raises(DimensionMismatch):
+            validate_instrument([Effect("a", 0, [1.0, 0.0]), Effect("b", 0, np.eye(3))])

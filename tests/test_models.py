@@ -21,6 +21,7 @@ from decohist import (
     spin_direction_instrument,
     spin_half_library,
     state_statistics,
+    trivial_instrument,
     validate_density,
 )
 
@@ -182,6 +183,50 @@ class TestGaussianInstrument:
         grid = GridSystem(n_points=128, x_min=-64.0, x_max=64.0)
         inst = gaussian_instrument(grid, width=16.0, centers=np.arange(-96.0, 97.0, 8.0))
         assert "-96" in inst.labels and "0" in inst.labels and "96" in inst.labels
+
+    def test_memory_is_linear_in_grid_size(self):
+        """45 centers on a 512-point grid peak far below one 4 MiB d x d matrix per center."""
+        import tracemalloc
+
+        grid = GridSystem(n_points=512, x_min=-128.0, x_max=128.0)
+        centers = (np.arange(45) - 22) * 8.0
+        tracemalloc.start()
+        try:
+            inst = gaussian_instrument(grid, width=16.0, centers=centers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(inst.effects) == 45
+        assert peak < 16 * 2**20
+
+
+class TestDeclaredDiagonalModels:
+    def test_diagonal_instruments_declare_vectors(self):
+        """Every diagonal library instrument declares its effects as vectors, so
+        it has the O(k d) stack without any dense effect."""
+        lib = spin_half_library()
+        grid = GridSystem(n_points=64, x_min=-16.0, x_max=16.0)
+        z_step = interference_circuit().steps[0].instrument
+        for inst in (lib.fuzzy, lib.projective_z, z_step, trivial_instrument(3),
+                     gaussian_instrument(grid, 2.0, np.arange(-24.0, 25.0, 2.0))):
+            assert all(e.diagonal is not None for e in inst.effects)
+            assert inst._diagonal_stack is not None
+        for inst in (lib.projective_x, lib.projective_y,
+                     spin_direction_instrument(AXIS_DIRECTIONS)):
+            assert inst._diagonal_stack is None
+
+    def test_declared_instruments_keep_their_matrices(self):
+        """The declared forms expand to the same dense effects and kinds as before."""
+        lib = spin_half_library()
+        z_plus, z_minus = (e.matrix for e in lib.projective_z.effects)
+        np.testing.assert_array_equal(z_plus, (np.eye(2) + lib.sigma_z) / 2)
+        np.testing.assert_array_equal(z_minus, (np.eye(2) - lib.sigma_z) / 2)
+        np.testing.assert_array_equal(lib.fuzzy.effects[1].matrix,
+                                      np.diag([0.0, 1 / np.sqrt(2)]))
+        assert lib.projective_z.kind == "projective"
+        assert interference_circuit().steps[0].instrument.kind == "projective"
+        assert trivial_instrument(3).kind == "projective"
+        assert lib.fuzzy.kind == "generalized"
 
 
 class TestFreeParticle:

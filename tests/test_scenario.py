@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,19 @@ MALFORMED = {
     "effect-matrix-wrong-dim": (
         _document(instrument={"effects": [{"label": "0", "matrix": EYE3}]}),
         DimensionMismatch, "effects[0]"),
+    "effect-matrix-and-diagonal": (
+        _document(instrument={"effects": [{"label": "0", **MIXED_MATRIX,
+                                           "diagonal": [[1, 0], [1, 0]]}]}),
+        ScenarioSyntaxError, "exactly one of 'matrix' and 'diagonal'"),
+    "effect-without-operator": (
+        _document(instrument={"effects": [{"label": "0"}]}),
+        ScenarioSyntaxError, "exactly one of 'matrix' and 'diagonal'"),
+    "effect-diagonal-wrong-dim": (
+        _document(instrument={"effects": [{"label": "0", "diagonal": [[1, 0]] * 3}]}),
+        DimensionMismatch, "effects[0].diagonal"),
+    "effect-diagonal-bad-pair": (
+        _document(instrument={"effects": [{"label": "0", "diagonal": [[1, 0], 1]}]}),
+        ScenarioSyntaxError, "effects[0].diagonal[1]"),
     "effect-without-label": (
         _document(instrument={"effects": [{"matrix": MIXED_MATRIX["matrix"]}]}),
         ScenarioSyntaxError, "label"),
@@ -275,6 +289,52 @@ class TestOverrides:
         report = run_scenario(updated)
         block = dict(report.checks)
         assert block["measurement_based"].policy == "singletons"
+
+
+def test_diagonal_declaration_matches_matrix_fixture():
+    """fuzzy_measurement.yaml with its effects declared by `diagonal:` takes the
+    fast path and reports the same bytes as the shipped `matrix:` file, apart
+    from the echo of the scenario document itself."""
+    text = (FIXTURES / "fuzzy_measurement.yaml").read_text()
+    doc = yaml.safe_load(text)
+    for effect in doc["steps"][0]["instrument"]["effects"]:
+        matrix = effect.pop("matrix")
+        effect["diagonal"] = [row[r] for r, row in enumerate(matrix)]
+    shipped, variant = parse_scenario(text), parse_scenario(yaml.safe_dump(doc))
+    assert shipped.spec.steps[0].instrument._diagonal_stack is None
+    assert variant.spec.steps[0].instrument._diagonal_stack is not None
+    assert variant.echo["steps"][0]["instrument"]["effects"][1]["diagonal"] == [
+        [0.0, 0.0], [0.7071067811865476, 0.0]]
+    expected = emit_report(run_scenario(shipped), "structured")
+    report = run_scenario(variant)
+    assert emit_report(replace(report, scenario=shipped.echo), "structured") == expected
+
+
+@pytest.mark.parametrize("spacing, needle", [
+    (0.001, "176001 centers x 256 grid points"),  # refused by gaussian_instrument
+    (1e-9, "centers exceed the cap"),  # refused by the parser before listing the centers
+])
+def test_oversized_center_grid_exits_2_in_bounded_memory(tmp_path, spacing, needle):
+    """free_particle.yaml with too fine a center spacing exits 2 with
+    BudgetExceeded before allocating, well inside a 1 GiB address cap."""
+    doc = yaml.safe_load((FIXTURES / "free_particle.yaml").read_text())
+    for step in doc["steps"]:
+        step["instrument"]["centers"]["spacing"] = spacing
+    path = tmp_path / "dense_centers.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    limit = 1 << 30
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from decohist.cli import main\n"
+        f"sys.exit(main(['check', {str(path)!r}]))\n"
+    )
+    src = str(Path(decohist.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert "BudgetExceeded" in done.stderr and needle in done.stderr
 
 
 class TestRunScenario:
@@ -408,6 +468,7 @@ FIXTURE_REPORT_SHA256 = {
 
 _DIGEST_CODE = """
 import hashlib, json, sys
+from dataclasses import replace
 from pathlib import Path
 from decohist import emit_report, parse_scenario, run_scenario
 digests = {}

@@ -17,6 +17,7 @@ threshold on entries and probabilities is meaningful.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,9 @@ class Tolerances:
     decoherence: float = 1e-9
 
     def __post_init__(self):
-        if not (self.validation > 0 and self.decoherence > 0):
-            raise ValidationError("tolerances must be positive")
+        # An infinite tolerance would pass every check vacuously.
+        if not all(0 < t < math.inf for t in (self.validation, self.decoherence)):
+            raise ValidationError("tolerances must be finite and positive")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -75,11 +75,23 @@ class CriterionReport:
     notes: tuple[str, ...] = ()
 
 
-def _top_witnesses(candidates: list[tuple[tuple, float]], tol: Tolerances) -> tuple[Witness, ...]:
-    """Worst offenders above tolerance, at most MAX_WITNESSES, deterministic order."""
-    offenders = [(loc, r) for loc, r in candidates if r > tol.decoherence]
-    offenders.sort(key=lambda item: (-item[1], item[0]))
-    return tuple(Witness(location=loc, residual=r) for loc, r in offenders[:MAX_WITNESSES])
+def _top_witnesses(residuals: np.ndarray, locate, tol: Tolerances) -> tuple[Witness, ...]:
+    """Worst offenders above tolerance, at most MAX_WITNESSES, ordered by
+    residual descending and then by location.
+
+    ``locate`` maps a flat index of ``residuals`` to its location. Offenders
+    below the MAX_WITNESSES-th largest residual cannot be reported, so only
+    those at or above it (every tie included) get a location and a sort.
+    """
+    flat = residuals.ravel()
+    offenders = np.flatnonzero(flat > tol.decoherence)
+    if offenders.size > MAX_WITNESSES:
+        values = flat[offenders]
+        kth = np.partition(values, -MAX_WITNESSES)[-MAX_WITNESSES]
+        offenders = offenders[values >= kth]
+    ranked = sorted(((locate(int(f)), float(flat[f])) for f in offenders),
+                    key=lambda item: (-item[1], item[0]))
+    return tuple(Witness(location=loc, residual=r) for loc, r in ranked[:MAX_WITNESSES])
 
 
 def check_weak(
@@ -87,18 +99,17 @@ def check_weak(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CriterionReport:
     """max |Re D(alpha; alpha')| over distinct path pairs."""
-    residuals = np.abs(functional.values.real).copy()
+    residuals = np.abs(functional.values.real)
     np.fill_diagonal(residuals, 0.0)
-    max_residual = float(residuals.max()) if functional.n_paths > 1 else 0.0
+    n, paths = functional.n_paths, functional.paths
+    max_residual = float(residuals.max()) if n > 1 else 0.0
     # Re D is symmetric under swapping the pair, so report each once.
-    offenders = np.argwhere(np.triu(residuals > tol.decoherence, 1))
-    candidates = [((functional.paths[a], functional.paths[b]), float(residuals[a, b]))
-                  for a, b in offenders]
     return CriterionReport(
         criterion="weak",
         verdict=max_residual <= tol.decoherence,
         max_residual=max_residual,
-        witnesses=_top_witnesses(candidates, tol),
+        witnesses=_top_witnesses(np.triu(residuals, 1),
+                                 lambda f: (paths[f // n], paths[f % n]), tol),
     )
 
 
@@ -132,7 +143,9 @@ def check_measurement_based(
             f"{len(subsets)} subsets of {len(measured)} measured steps exceed budget {subset_budget}"
         )
     per_subset: list[tuple[tuple[int, ...], float]] = []
-    candidates: list[tuple[tuple, float]] = []
+    # One delta array per walked subset, over its sorted keys.
+    walked: list[tuple[tuple[int, ...], list]] = []
+    deltas: list[np.ndarray] = []
     for subset in subsets:
         kept = [pos for pos in measured if pos not in subset]
         if not subset or not kept or subset[0] > kept[-1]:
@@ -143,13 +156,19 @@ def check_measurement_based(
             continue
         skipped = omitted_distribution(spec, subset, tol, budget)
         forgotten = marginal_distribution(spec, subset, tol, budget)
-        keys = set(skipped) | set(forgotten)
-        residual = 0.0
-        for key in sorted(keys):
-            delta = abs(skipped.get(key, 0.0) - forgotten.get(key, 0.0))
-            candidates.append(((subset, key), delta))
-            residual = max(residual, delta)
-        per_subset.append((subset, residual))
+        keys = sorted(set(skipped) | set(forgotten))
+        delta = np.abs(np.array([skipped.get(key, 0.0) for key in keys])
+                       - np.array([forgotten.get(key, 0.0) for key in keys]))
+        walked.append((subset, keys))
+        deltas.append(delta)
+        per_subset.append((subset, float(delta.max(initial=0.0))))
+    starts = np.cumsum([0] + [len(keys) for _, keys in walked])
+
+    def locate(flat):
+        k = int(np.searchsorted(starts, flat, side="right")) - 1
+        subset, keys = walked[k]
+        return (subset, keys[flat - int(starts[k])])
+
     max_residual = max((r for _, r in per_subset), default=0.0)
     notes = []
     if subset_policy == "singletons":
@@ -160,7 +179,7 @@ def check_measurement_based(
         criterion="measurement_based",
         verdict=max_residual <= tol.decoherence,
         max_residual=max_residual,
-        witnesses=_top_witnesses(candidates, tol),
+        witnesses=_top_witnesses(np.concatenate([np.zeros(0), *deltas]), locate, tol),
         per_subset=tuple(per_subset),
         policy=subset_policy,
         notes=tuple(notes),
@@ -279,14 +298,14 @@ def check_kent(
         rhs = np.tensordot(rhs, indicator, axes=([0], [1]))
     residuals = np.abs(weights(_kraus_products(spec.steps, coarse)) - rhs.ravel())
     max_residual = float(residuals.max())
-    candidates = []
-    for flat in np.flatnonzero(residuals > tol.decoherence):
+
+    def locate(flat):
         selection = np.unravel_index(flat, sizes)
-        location = tuple(
+        return tuple(
             tuple(step.labels[i] for i in step.subsets[j])
             for step, j in zip(kent.steps, selection)
         )
-        candidates.append((location, float(residuals[flat])))
+
     notes = ()
     if policy == "singletons_plus_full":
         notes = ("singleton-plus-full selections only: partial check",)
@@ -294,7 +313,7 @@ def check_kent(
         criterion="kent",
         verdict=max_residual <= tol.decoherence,
         max_residual=max_residual,
-        witnesses=_top_witnesses(candidates, tol),
+        witnesses=_top_witnesses(residuals, locate, tol),
         policy=policy,
         notes=notes,
     )

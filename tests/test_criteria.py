@@ -7,16 +7,21 @@ import pytest
 
 import decohist.criteria as criteria
 from decohist import (
+    MAX_WITNESSES,
+    DecoherenceFunctional,
     HistorySpec,
     KentNotApplicable,
     KentSpec,
     NotHermitianEffects,
     Step,
     Tolerances,
+    Witness,
     check_kent,
     check_measurement_based,
     check_weak,
     decoherence_functional,
+    marginal_distribution,
+    omitted_distribution,
     psd_sqrt,
     random_classical_spec,
     random_spec,
@@ -39,6 +44,13 @@ def _xy_spec():
 def _fuzzy_spec():
     lib = spin_half_library()
     return HistorySpec(initial=lib.mixed, steps=(Step(lib.identity, lib.fuzzy),))
+
+
+def _two_path_functional(off: float) -> DecoherenceFunctional:
+    paths = ((("0", 0),), (("1", 0),))
+    values = np.array([[0.5, off], [off, 0.5]])
+    return DecoherenceFunctional(paths=paths, values=values, positions=(1,),
+                                 labels=(("0",), ("1",)))
 
 
 class TestCheckWeak:
@@ -72,6 +84,21 @@ class TestCheckWeak:
         loose = Tolerances(decoherence=0.3)
         report = check_weak(decoherence_functional(_fuzzy_spec()), loose)
         assert report.verdict is True
+
+    def test_residual_at_tolerance_passes(self):
+        """|Re D| exactly at the tolerance passes with no witness; one ulp
+        above it fails with exactly one."""
+        tol = Tolerances()
+        for sign in (1.0, -1.0):
+            at = check_weak(_two_path_functional(sign * tol.decoherence), tol)
+            assert at.verdict is True
+            assert at.max_residual == tol.decoherence
+            assert at.witnesses == ()
+            above = np.nextafter(tol.decoherence, np.inf)
+            report = check_weak(_two_path_functional(sign * above), tol)
+            assert report.verdict is False
+            assert report.witnesses == (Witness(location=((("0", 0),), (("1", 0),)),
+                                                residual=above),)
 
 
 class TestCheckMeasurementBased:
@@ -237,6 +264,120 @@ def test_kent_matches_per_selection_reference():
         assert len(report.witnesses) == min(expected, 8)
         for witness in report.witnesses:
             assert abs(witness.residual - reference[witness.location]) <= 1e-12
+
+
+def _full_sort(candidates, tol: Tolerances) -> tuple[Witness, ...]:
+    """Reference witness selection: every (location, residual) above the
+    tolerance, fully sorted by residual descending and then by location."""
+    offenders = [(loc, r) for loc, r in candidates if r > tol.decoherence]
+    offenders.sort(key=lambda item: (-item[1], item[0]))
+    return tuple(Witness(location=loc, residual=r) for loc, r in offenders[:MAX_WITNESSES])
+
+
+def _weak_candidates(functional):
+    v = np.abs(functional.values.real)
+    n = functional.n_paths
+    return [((functional.paths[a], functional.paths[b]), float(v[a, b]))
+            for a in range(n) for b in range(a + 1, n)]
+
+
+def _measurement_based_candidates(spec):
+    measured = spec.measured_positions
+    for size in range(1, len(measured) + 1):
+        for subset in itertools.combinations(measured, size):
+            kept = [pos for pos in measured if pos not in subset]
+            if not kept or subset[0] > kept[-1]:
+                continue
+            skipped = omitted_distribution(spec, subset)
+            forgotten = marginal_distribution(spec, subset)
+            for key in sorted(set(skipped) | set(forgotten)):
+                yield (subset, key), abs(skipped.get(key, 0.0) - forgotten.get(key, 0.0))
+
+
+def _kent_candidates(spec, monkeypatch):
+    """check_kent's own residual vector, each entry located by unravelling
+    its flat index over the per-step subset counts."""
+    captured = []
+    real = criteria._top_witnesses
+
+    def spy(residuals, locate, tol):
+        captured.append(residuals.copy())
+        return real(residuals, locate, tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(criteria, "_top_witnesses", spy)
+        check_kent(spec)
+    (residuals,) = captured
+    kent = KentSpec.from_history(spec)
+    selections = itertools.product(*[step.subsets for step in kent.steps])
+    return [(tuple(tuple(step.labels[i] for i in s) for step, s in zip(kent.steps, selection)),
+             float(r))
+            for selection, r in zip(selections, residuals)]
+
+
+def _tied_chain_spec():
+    """Fuzzy, x and z measurements of the mixed spin, twice over: Re D takes
+    a handful of exactly repeated values, and 32 pairs tie at the 8th."""
+    lib = spin_half_library()
+    instruments = (lib.fuzzy, lib.projective_x, lib.projective_z)
+    return HistorySpec(initial=lib.mixed,
+                       steps=tuple(Step(lib.identity, instruments[k % 3]) for k in range(6)))
+
+
+class TestWitnessSelection:
+    def test_ties_at_the_cut_are_kept_and_ordered_by_location(self):
+        """With 63 equal residuals competing for the last 5 witness slots, the
+        slots go to the smallest locations, not to the first paths."""
+        labels = ("10", "9", "2", "11", "1", "0", "3", "8", "4", "7", "5", "6")
+        n = len(labels)
+        paths = tuple(((label, 0),) for label in labels)
+        values = np.full((n, n), 0.01)
+        np.fill_diagonal(values, 1 / n)
+        for a, b in ((0, 1), (2, 7), (4, 11)):
+            values[a, b] = values[b, a] = -0.02
+        functional = DecoherenceFunctional(paths=paths, values=values, positions=(1,),
+                                           labels=tuple((label,) for label in labels))
+        candidates = _weak_candidates(functional)
+        assert sum(r == 0.01 for _, r in candidates) >= 50
+        report = check_weak(functional)
+        assert report.witnesses == _full_sort(candidates, Tolerances())
+        assert [w.residual for w in report.witnesses] == [0.02] * 3 + [0.01] * 5
+        by_path_order = [loc for loc, r in candidates if r == 0.01][:5]
+        assert [w.location for w in report.witnesses[3:]] != by_path_order
+
+    def test_tied_chain_matches_full_sort(self, monkeypatch):
+        """A spin chain whose exactly equal residuals straddle the witness cut."""
+        spec = _tied_chain_spec()
+        functional = decoherence_functional(spec)
+        candidates = _weak_candidates(functional)
+        ranked = sorted((r for _, r in candidates), reverse=True)
+        cut = ranked[MAX_WITNESSES - 1]
+        assert ranked[MAX_WITNESSES] == cut and ranked[0] > cut
+        assert check_weak(functional).witnesses == _full_sort(candidates, Tolerances())
+        assert check_measurement_based(spec).witnesses == _full_sort(
+            _measurement_based_candidates(spec), Tolerances())
+        assert check_kent(spec).witnesses == _full_sort(
+            _kent_candidates(spec, monkeypatch), Tolerances())
+
+    @pytest.mark.parametrize("kind", ["projective", "classical", "generalized", "hermitian"])
+    def test_seeded_specs_match_full_sort(self, kind, monkeypatch):
+        """All three criteria pick the same witnesses as a full sort of every
+        offender, on seeded specs of dims 2-4 with up to three steps."""
+        tol = Tolerances()
+        for seed in range(12):
+            dim, n_steps = 2 + seed % 3, 1 + seed % 3
+            if kind == "classical":
+                spec = random_classical_spec(dim, n_steps, seed=seed)
+            else:
+                spec = random_spec(dim, n_steps, min(2 + seed // 6, dim), kind=kind, seed=seed)
+            functional = decoherence_functional(spec)
+            assert check_weak(functional, tol).witnesses == _full_sort(
+                _weak_candidates(functional), tol)
+            assert check_measurement_based(spec, tol).witnesses == _full_sort(
+                _measurement_based_candidates(spec), tol)
+            if kind != "generalized":
+                assert check_kent(spec, tol=tol).witnesses == _full_sort(
+                    _kent_candidates(spec, monkeypatch), tol)
 
 
 class TestImplications:

@@ -1,11 +1,21 @@
 """Validated complex-matrix algebra and quantum measurement primitives.
 
-States and unitaries are dense square complex128 arrays (dimensionless,
-hbar = 1). A measurement effect is either a dense square matrix or a 1-d
-vector that declares a diagonal effect by its diagonal; an instrument whose
-effects all declare diagonals gets O(k d) channels and probabilities. The
-structure is declared, never detected: a dense matrix that happens to be
-diagonal takes the generic path. Arrays held by the value types are
+Everything is dimensionless, hbar = 1. Operators are dense square complex128
+arrays unless they declare a structure by a 1-d vector:
+
+- a measurement effect may declare a diagonal effect by its diagonal; an
+  instrument whose effects all declare diagonals gets O(k d) channels and
+  probabilities;
+- a state may declare the pure state psi psi' by its vector psi, validated
+  in O(d) and propagated as vectors where the consumer supports it;
+- a unitary may declare U = F' diag(phi) F by its phases phi in the basis of
+  the unitary DFT F, validated in O(d) and applied with np.fft in
+  O(d log d) per vector (apply_unitary).
+
+The structure is declared, never detected: a dense matrix that happens to be
+diagonal, rank one or circulant takes the generic path. A declared operator's
+``matrix`` is expanded on demand and not cached, so only the consumers that
+need a dense matrix pay d^2 bytes. Arrays held by the value types are
 read-only copies, so every value is immutable after construction and safe to
 share across threads.
 
@@ -82,36 +92,83 @@ def hermiticity_residual(m: np.ndarray) -> float:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose (of every matrix, for a stack)."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _declared_operator(op, name: str, vector_name: str) -> np.ndarray:
+    """A 1-d input is a declared vector, anything else a square matrix."""
+    if np.ndim(op) == 1:
+        return as_complex_vector(op, vector_name)
+    return as_complex_matrix(op, name)
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A quantum state: Hermitian, PSD, unit trace. Build via validate_density."""
+    """A quantum state: Hermitian, PSD, unit trace. Build via validate_density.
 
-    matrix: np.ndarray
+    ``operator`` is a square matrix, or a 1-d vector psi declaring the pure
+    state psi psi'.
+    """
+
+    operator: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", as_complex_matrix(self.matrix, "density matrix"))
+        object.__setattr__(self, "operator",
+                           _declared_operator(self.operator, "density matrix", "state vector"))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.operator.shape[0]
+
+    @property
+    def vector(self) -> np.ndarray | None:
+        """The declared state vector, or None for a dense state."""
+        return self.operator if self.operator.ndim == 1 else None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense state. A declared vector is expanded on every call, not cached."""
+        if self.operator.ndim == 2:
+            return self.operator
+        m = np.outer(self.operator, self.operator.conj())
+        m.setflags(write=False)
+        return m
 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOp:
-    """A unitary evolution operator. Build via validate_unitary."""
+    """A unitary evolution operator. Build via validate_unitary or
+    validate_fourier_unitary.
 
-    matrix: np.ndarray
+    ``operator`` is a square matrix, or a 1-d vector of phases phi declaring
+    U = F' diag(phi) F, with F the unitary DFT.
+    """
+
+    operator: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", as_complex_matrix(self.matrix, "unitary"))
+        object.__setattr__(self, "operator",
+                           _declared_operator(self.operator, "unitary", "unitary phases"))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.operator.shape[0]
+
+    @property
+    def phases(self) -> np.ndarray | None:
+        """The declared phases in the DFT basis, or None for a dense unitary."""
+        return self.operator if self.operator.ndim == 1 else None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense operator. Declared phases are expanded by FFT on every
+        call, not cached; propagation goes through apply_unitary instead."""
+        if self.operator.ndim == 2:
+            return self.operator
+        m = apply_unitary(self, np.eye(self.dim, dtype=np.complex128))
+        m.setflags(write=False)
+        return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,11 +188,8 @@ class Effect:
             raise ValidationError("outcome_label must be a nonempty string")
         if not isinstance(self.internal_index, int) or self.internal_index < 0:
             raise ValidationError("internal_index must be a nonnegative integer")
-        if np.ndim(self.operator) == 1:
-            op = as_complex_vector(self.operator, "effect diagonal")
-        else:
-            op = as_complex_matrix(self.operator, "effect")
-        object.__setattr__(self, "operator", op)
+        object.__setattr__(self, "operator",
+                           _declared_operator(self.operator, "effect", "effect diagonal"))
 
     @property
     def dim(self) -> int:
@@ -259,7 +313,16 @@ def _declared_diagonals(effects: tuple[Effect, ...]):
 
 
 def validate_density(m, tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
-    """Validate Hermiticity, positivity and unit trace; report the violation."""
+    """Validate Hermiticity, positivity and unit trace; report the violation.
+
+    A 1-d input declares a pure state by its vector: it must be finite with
+    squared norm 1, which is all that is left to check in O(d)."""
+    if np.ndim(m) == 1:
+        psi = as_complex_vector(m, "state vector")
+        norm = float(np.sum(psi.real**2 + psi.imag**2))
+        if abs(norm - 1.0) > tol.validation:
+            raise TraceNotOne(f"state vector squared norm {norm:.12g} != 1", trace=norm)
+        return DensityMatrix(psi)
     arr = as_complex_matrix(m, "density matrix")
     herm = hermiticity_residual(arr)
     if herm > tol.validation:
@@ -281,6 +344,34 @@ def validate_unitary(m, tol: Tolerances = DEFAULT_TOLERANCES) -> UnitaryOp:
     if residual > tol.validation:
         raise NotUnitary(f"operator not unitary: residual {residual:.3e}", residual=residual)
     return UnitaryOp(arr)
+
+
+def validate_fourier_unitary(phases, tol: Tolerances = DEFAULT_TOLERANCES) -> UnitaryOp:
+    """Declare U = F' diag(phases) F in the unitary DFT basis F.
+
+    U is unitary iff every |phase| is 1, checked in O(d)."""
+    phi = as_complex_vector(phases, "unitary phases")
+    residual = float(np.max(np.abs(np.abs(phi) - 1.0)))
+    if residual > tol.validation:
+        raise NotUnitary(f"phases not unimodular: residual {residual:.3e}", residual=residual)
+    return UnitaryOp(phi)
+
+
+def apply_unitary(u: UnitaryOp, x: np.ndarray, side: str = "left") -> np.ndarray:
+    """U x ('left'), x U' ('right') or U x U' ('both') for a (..., dim, n) stack x.
+
+    A dense U takes plain matrix products, and 'both' is (U x) U'. Declared
+    phases act column by column through np.fft, O(d log d) per column, and
+    the right factor uses x U' = (U x')'."""
+    if side == "both":
+        return apply_unitary(u, apply_unitary(u, x), "right")
+    phases = u.phases
+    if side == "right":
+        return x @ u.operator.conj().T if phases is None else dagger(apply_unitary(u, dagger(x)))
+    if phases is None:
+        return u.operator @ x
+    spectrum = phases[:, np.newaxis] * np.fft.fft(x, axis=-2, norm="ortho")
+    return np.fft.ifft(spectrum, axis=-2, norm="ortho")
 
 
 def _is_projective(effects: tuple[Effect, ...], ds, tol: Tolerances) -> bool:
@@ -428,3 +519,31 @@ def apply_outcome(inst: Instrument, label: str, x: np.ndarray) -> np.ndarray:
         a = inst.effects[k].matrix
         out += a @ x @ dagger(a)
     return out
+
+
+# Pure-state stacks. A (branches, dim, rank) stack W of column vectors stands
+# for the states W W'; the histories walk carries one while its rank stays
+# at most dim.
+
+
+def kraus_columns(inst: Instrument, idxs, w: np.ndarray) -> np.ndarray:
+    """The columns A_k w for every k in ``idxs``, side by side, for a
+    (branches, dim, rank) stack w: a (branches, dim, len(idxs) * rank) stack
+    whose W W' is sum_k A_k w w' A_k'."""
+    ds = inst._diagonal_stack
+    if ds is not None:
+        cols = ds[list(idxs)][:, np.newaxis, :, np.newaxis] * w
+    else:
+        cols = np.array([inst.effects[k].matrix for k in idxs])[:, np.newaxis] @ w
+    return np.moveaxis(cols, 0, 2).reshape(len(w), w.shape[1], -1)
+
+
+def vector_probabilities(inst: Instrument, w: np.ndarray) -> np.ndarray:
+    """tr(E_mu W W') for each outcome label, label axis last, for a
+    (..., dim, rank) stack W. Declared diagonals need only the diagonal
+    sum_r |w_r|^2 of W W'."""
+    weights = inst._povm_weights
+    if weights is not None:
+        diag = np.sum(w.real**2 + w.imag**2, axis=-1)
+        return np.matmul(weights, diag[..., np.newaxis])[..., 0]
+    return np.einsum("mij,...jr,...ir->...m", inst._povm_dense, w, w.conj(), optimize=True).real

@@ -146,20 +146,27 @@ def _check_budget(sizes, budget: int, what: str, pairs: bool = False) -> None:
         raise BudgetExceeded(f"{shown} {what} exceed budget {budget}")
 
 
-def _kraus_products(steps: tuple[Step, ...], choices) -> np.ndarray:
-    """Stack of products O^n U_n ... O^1 U_1 taking one operator per listed step.
+def _kraus_products(steps: tuple[Step, ...], choices, start=None) -> np.ndarray:
+    """Stack of products O^n U_n ... O^1 U_1 start taking one operator per listed step.
 
-    ``choices[j]`` is a (k, dim, dim) stack of candidates for step j + 1, or
-    None where only the unitary acts. Products are expanded level by level so
-    shared prefixes are computed once; the order (old index * k + new
-    operator) is the canonical product enumeration, last step fastest.
+    ``choices[j]`` is a (k, dim, dim) stack of candidates for step j + 1, a
+    (k, dim) stack of declared diagonals, or None where only the unitary
+    acts. ``start`` is a (dim, cols) matrix, the identity by default.
+    Products are expanded level by level so shared prefixes are computed
+    once; the order (old index * k + new operator) is the canonical product
+    enumeration, last step fastest.
     """
     dim = steps[0].dim
-    ops = np.eye(dim, dtype=np.complex128)[np.newaxis]
+    ops = (np.eye(dim, dtype=np.complex128) if start is None else start)[np.newaxis]
     for step, choice in zip(steps, choices):
-        ops = step.unitary.matrix @ ops
-        if choice is not None:
-            ops = (choice[np.newaxis] @ ops[:, np.newaxis]).reshape(-1, dim, dim)
+        ops = core.apply_unitary(step.unitary, ops)
+        if choice is None:
+            continue
+        if choice.ndim == 2:
+            ops = choice[np.newaxis, :, :, np.newaxis] * ops[:, np.newaxis]
+        else:
+            ops = choice[np.newaxis] @ ops[:, np.newaxis]
+        ops = ops.reshape(-1, dim, ops.shape[-1])
     return ops
 
 
@@ -184,8 +191,19 @@ def path_operator(spec: HistorySpec, path: OutcomePath) -> np.ndarray:
     return op
 
 
+def _effect_stack(inst: Instrument | None):
+    """A step's operator candidates for _kraus_products: None without an
+    instrument, else its declared diagonals if it has them, else its dense
+    effects."""
+    if inst is None:
+        return None
+    if inst._diagonal_stack is not None:
+        return inst._diagonal_stack
+    return np.array([e.matrix for e in inst.effects])
+
+
 def _functional_from_steps(
-    initial: np.ndarray,
+    initial: DensityMatrix,
     steps: tuple[Step, ...],
     tol: Tolerances,
     budget: int,
@@ -195,13 +213,20 @@ def _functional_from_steps(
     measured = _measured_instruments(steps)
     instruments = [inst for _, inst in measured]
     _check_budget([len(inst.effects) for inst in instruments], budget, "path pairs", pairs=True)
-    effects = [None if s.instrument is None else np.array([e.matrix for e in s.instrument.effects])
-               for s in steps]
-    stack = _kraus_products(steps, effects)
-    # D(a, b) = tr(C_a rho C_b') = sum_{ij} (C_a rho)_{ij} conj(C_b)_{ij};
-    # each entry is an independent contraction, so evaluation order cannot
-    # change results between serial and data-parallel runs.
-    values = np.einsum("aij,bij->ab", stack @ initial, stack.conj())
+    psi = initial.vector
+    effects = [_effect_stack(s.instrument) for s in steps]
+    if psi is None:
+        stack = _kraus_products(steps, effects)
+        # D(a, b) = tr(C_a rho C_b') = sum_{ij} (C_a rho)_{ij} conj(C_b)_{ij};
+        # each entry is an independent contraction, so evaluation order cannot
+        # change results between serial and data-parallel runs.
+        values = np.einsum("aij,bij->ab", stack @ initial.matrix, stack.conj())
+    else:
+        # A pure state needs only the path vectors v_a = C_a psi, and
+        # D(a, b) = <v_b, v_a> is their Gram matrix: paths x dim numbers
+        # instead of paths x dim^2.
+        vectors = _kraus_products(steps, effects, psi[:, np.newaxis])[..., 0]
+        values = vectors @ vectors.conj().T
     paths, labels = _enumerate_paths(instruments)
     diag = np.diagonal(values)
     if float(np.max(np.abs(diag.imag))) > tol.validation:
@@ -218,7 +243,7 @@ def decoherence_functional(
     budget: int = DEFAULT_PATH_PAIR_BUDGET,
 ) -> DecoherenceFunctional:
     """The full functional D(alpha; alpha') of the spec."""
-    return _functional_from_steps(spec.initial.matrix, spec.steps, tol, budget)
+    return _functional_from_steps(spec.initial, spec.steps, tol, budget)
 
 
 def grouped_diagonal(
@@ -286,7 +311,7 @@ def omit_functional(
     """D with the instruments at ``subset`` removed (their unitaries retained)."""
     positions = _normalize_subset(spec, subset)
     return _functional_from_steps(
-        spec.initial.matrix, _steps_with_omitted(spec, positions), tol, budget
+        spec.initial, _steps_with_omitted(spec, positions), tol, budget
     )
 
 
@@ -313,7 +338,7 @@ def marginal_functional(
                  for pos in spec.measured_positions if pos not in positions]
     _check_budget([len(inst.effects) for _, inst in remaining], budget, "path pairs", pairs=True)
     modes = {pos: "forget" if pos in positions else "pair" for pos in spec.measured_positions}
-    values = np.einsum("abii->ab", _walk(spec.initial.matrix, spec.steps, modes))
+    values = np.einsum("abii->ab", _walk(spec.initial, spec.steps, modes))
     paths, labels = _enumerate_paths([inst for _, inst in remaining])
     return _validated_functional(values, paths, labels, tuple(pos for pos, _ in remaining), tol)
 
@@ -324,7 +349,7 @@ def _marginal_by_pathsum(
     tol: Tolerances,
     budget: int,
 ) -> DecoherenceFunctional:
-    full = _functional_from_steps(spec.initial.matrix, spec.steps, tol, budget)
+    full = _functional_from_steps(spec.initial, spec.steps, tol, budget)
     keep = [j for j, pos in enumerate(full.positions) if pos not in subset]
     drop = [j for j, pos in enumerate(full.positions) if pos in subset]
     remaining_inst = [spec.instrument_at(full.positions[j]) for j in keep]
@@ -368,7 +393,7 @@ def _validated_functional(values, paths, labels, positions, tol) -> DecoherenceF
 # ---------------------------------------------------------------------------
 
 
-def _walk(initial: np.ndarray, steps: tuple[Step, ...], modes: dict[int, str]) -> np.ndarray:
+def _walk(initial: DensityMatrix, steps: tuple[Step, ...], modes: dict[int, str]) -> np.ndarray:
     """Walk a (rows, cols, dim, dim) stack of branch states X through ``steps``.
 
     ``modes`` maps measured 1-based positions to
@@ -381,16 +406,31 @@ def _walk(initial: np.ndarray, steps: tuple[Step, ...], modes: dict[int, str]) -
     the stack there; a 'branch' walk returns the (branches, labels) outcome
     probabilities of that step, computed state by state so each row equals
     outcome_probabilities of its single state bit for bit.
+
+    A declared pure state is walked as a (branches, dim, rank) stack W of
+    vectors standing for X = W W' (see _pure_step). The walk forms W W' once
+    and continues dense when the next step is 'pair' or would raise the rank
+    above dim.
     """
     last = max((pos for pos, mode in modes.items() if mode in ("pair", "branch")), default=0)
-    dim = initial.shape[0]
-    states = initial[np.newaxis, np.newaxis]
+    dim = initial.dim
+    vectors = None if initial.vector is None else initial.vector[np.newaxis, :, np.newaxis]
+    states = initial.matrix[np.newaxis, np.newaxis] if vectors is None else None
     for pos, step in enumerate(steps[:last], 1):
-        u = step.unitary.matrix
-        # Two products, not u @ X @ u': at most two stacks are alive at once.
-        states = u @ states
-        states = states @ u.conj().T
         inst, mode = step.instrument, modes.get(pos, "skip")
+        if vectors is not None:
+            vectors = core.apply_unitary(step.unitary, vectors)
+            if mode == "branch" and pos == last:
+                return core.vector_probabilities(inst, vectors)
+            grown = _pure_step(inst, mode, vectors)
+            if grown is not None:
+                vectors = grown
+                continue
+            states, vectors = _density_stack(vectors), None
+        else:
+            # Two products, not U X U' at once: at most two stacks are alive.
+            states = core.apply_unitary(step.unitary, states)
+            states = core.apply_unitary(step.unitary, states, "right")
         if mode == "forget":
             states = core.apply_channel(inst, states)
         elif mode == "pair":
@@ -405,7 +445,40 @@ def _walk(initial: np.ndarray, steps: tuple[Step, ...], modes: dict[int, str]) -
             for m, label in enumerate(inst.labels):
                 out[:, m] = core.apply_outcome(inst, label, states[:, 0])
             states = out.reshape(-1, 1, dim, dim)
-    return states
+    return states if vectors is None else _density_stack(vectors)
+
+
+def _density_stack(vectors: np.ndarray) -> np.ndarray:
+    """The (branches, 1, dim, dim) stack W W' of a (branches, dim, rank) stack W."""
+    return (vectors @ core.dagger(vectors))[:, np.newaxis]
+
+
+def _pure_step(inst: Instrument | None, mode: str, vectors: np.ndarray) -> np.ndarray | None:
+    """The vector stack after one 'skip', 'forget' or non-final 'branch' step,
+    or None where the walk must go dense: a 'pair' step, or a rank that would
+    exceed dim.
+
+    'forget' multiplies the rank by the number of effects. 'branch' splits
+    each branch by label and multiplies the rank by the largest number of
+    effects under one label; labels with fewer effects are padded with zero
+    columns, which leave W W' unchanged.
+    """
+    if mode == "skip":
+        return vectors
+    if mode == "pair":
+        return None
+    if mode == "forget":
+        groups = [range(len(inst.effects))]
+    else:
+        groups = [idxs for _, idxs in inst._label_groups]
+    branches, dim, rank = vectors.shape
+    width = rank * max(len(idxs) for idxs in groups)
+    if width > dim:
+        return None
+    out = np.zeros((branches, len(groups), dim, width), dtype=np.complex128)
+    for m, idxs in enumerate(groups):
+        out[:, m, :, :rank * len(idxs)] = core.kraus_columns(inst, idxs, vectors)
+    return out.reshape(-1, dim, width)
 
 
 def _label_distribution(
@@ -416,11 +489,13 @@ def _label_distribution(
     positions = _normalize_subset(spec, subset)
     kept = [pos for pos in spec.measured_positions if pos not in positions]
     if not kept:
-        return {(): float(np.trace(spec.initial.matrix).real)}
+        psi = spec.initial.vector
+        trace = np.trace(spec.initial.matrix) if psi is None else np.vdot(psi, psi)
+        return {(): float(trace.real)}
     label_sets = [spec.instrument_at(pos).labels for pos in kept]
     _check_budget([len(labels) for labels in label_sets], budget, "outcome branches")
     modes = {pos: omitted if pos in positions else "branch" for pos in spec.measured_positions}
-    probs = _walk(spec.initial.matrix, spec.steps, modes)
+    probs = _walk(spec.initial, spec.steps, modes)
     return dict(zip(itertools.product(*label_sets), probs.ravel().tolist()))
 
 

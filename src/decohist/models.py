@@ -257,16 +257,13 @@ def free_particle_unitary(
 
     Momenta are 2 pi k / (x_max - x_min) with symmetric indexing; the diagonal
     phase in the discrete Fourier basis keeps U exactly unitary (no
-    finite-difference dispersion error).
+    finite-difference dispersion error). U is declared by those phases, so it
+    is validated in O(d) and applied by FFT; no d x d matrix is built.
     """
     if mass <= 0:
         raise ValidationError("mass must be positive")
-    n = grid.n_points
-    p = 2 * np.pi * np.fft.fftfreq(n, d=grid.h)
-    phase = np.exp(-1j * time * p**2 / mass)
-    fourier = np.fft.fft(np.eye(n), axis=0, norm="ortho")
-    u = fourier.conj().T @ (phase[:, np.newaxis] * fourier)
-    return core.validate_unitary(u, tol)
+    p = 2 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.h)
+    return core.validate_fourier_unitary(np.exp(-1j * time * p**2 / mass), tol)
 
 
 def gaussian_wavepacket(
@@ -275,7 +272,8 @@ def gaussian_wavepacket(
     sigma: float,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DensityMatrix:
-    """Pure state with amplitudes proportional to exp(-(x - center)^2 / 4 sigma^2).
+    """Pure state with amplitudes proportional to exp(-(x - center)^2 / 4 sigma^2),
+    declared by its vector.
 
     Position spread is approximately sigma. Width below twice the grid spacing
     is unresolvable; tails above tolerance at the boundary would wrap around.
@@ -287,8 +285,7 @@ def gaussian_wavepacket(
     edge = float(max(profile[0], profile[-1]))
     if edge >= tol.validation:
         raise EdgeOverlap(f"packet tail {edge:.3e} at grid boundary exceeds tolerance")
-    psi = profile / np.linalg.norm(profile)
-    return core.validate_density(np.outer(psi, psi.conj()), tol)
+    return core.validate_density(profile / np.linalg.norm(profile), tol)
 
 
 def interference_circuit(classical: bool = False, tol: Tolerances = DEFAULT_TOLERANCES) -> HistorySpec:

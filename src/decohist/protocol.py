@@ -103,8 +103,7 @@ def sample_history(
     rho = np.array(spec.initial.matrix)
     out = []
     for step in spec.steps:
-        u = step.unitary.matrix
-        rho = u @ rho @ u.conj().T
+        rho = core.apply_unitary(step.unitary, rho, "both")
         inst = step.instrument
         if inst is None:
             continue
@@ -174,8 +173,7 @@ def _sample_chunk(
     history = np.zeros((1, 0), dtype=np.intp)
     column = 0
     for k, step in enumerate(steps):
-        u = step.unitary.matrix
-        states = np.matmul(np.matmul(u, states), u.conj().T)
+        states = core.apply_unitary(step.unitary, states, "both")
         inst = step.instrument
         if inst is None:
             continue

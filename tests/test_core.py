@@ -25,9 +25,11 @@ from decohist import (
     state_statistics,
     tensor_product,
     validate_density,
+    validate_fourier_unitary,
     validate_instrument,
     validate_unitary,
 )
+from decohist.core import apply_unitary, kraus_columns, vector_probabilities
 
 
 class TestValidateDensity:
@@ -392,3 +394,125 @@ class TestDeclaredDiagonals:
             validate_instrument([Effect("a", 0, [1.0, 0.0]), Effect("b", 0, [0.0, 1.0, 0.0])])
         with pytest.raises(DimensionMismatch):
             validate_instrument([Effect("a", 0, [1.0, 0.0]), Effect("b", 0, np.eye(3))])
+
+
+def _dft_unitary(phases):
+    """U = F' diag(phases) F from the dense unitary DFT matrix F."""
+    fourier = np.fft.fft(np.eye(len(phases)), axis=0, norm="ortho")
+    return fourier.conj().T @ (phases[:, np.newaxis] * fourier)
+
+
+def _unit_phases(rng, dim):
+    return np.exp(2j * np.pi * rng.random(dim))
+
+
+class TestDeclaredPureState:
+    def test_vector_declares_the_outer_product(self):
+        """A state built from a vector keeps the vector and expands psi psi' on
+        each call, read-only and not cached."""
+        rng = np.random.default_rng(0)
+        for dim in (1, 2, 5):
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            psi /= np.linalg.norm(psi)
+            rho = validate_density(psi)
+            np.testing.assert_array_equal(rho.vector, psi)
+            first = rho.matrix
+            np.testing.assert_allclose(first, np.outer(psi, psi.conj()), rtol=0, atol=1e-15)
+            assert first is not rho.matrix
+            assert not first.flags.writeable and not rho.vector.flags.writeable
+            assert rho.dim == dim
+        assert validate_density(np.eye(2) / 2).vector is None
+
+    def test_norm_is_checked_against_the_tolerance(self):
+        """|norm^2 - 1| at the tolerance passes; beyond it TraceNotOne carries the norm."""
+        tol = Tolerances(validation=1e-6)
+        validate_density(np.sqrt(1 + 1e-7) * np.array([1.0, 0.0]), tol)
+        with pytest.raises(TraceNotOne) as err:
+            validate_density(np.array([1.0, 0.1]), tol)
+        assert err.value.trace == pytest.approx(1.01)
+
+    def test_rejects_bad_vectors(self):
+        """Empty, non-finite and unnormalized vectors are refused."""
+        with pytest.raises(DimensionMismatch):
+            validate_density(np.zeros(0))
+        for bad in ([1.0, np.nan], [np.inf, 0.0], [1.0, complex(0.0, np.nan)]):
+            with pytest.raises(ValidationError):
+                validate_density(bad)
+        with pytest.raises(TraceNotOne):
+            validate_density([1.0, 1.0])
+        with pytest.raises(TraceNotOne):
+            validate_density(np.zeros(3))
+
+
+class TestFourierUnitary:
+    def test_matrix_is_the_dft_conjugate_of_the_phases(self):
+        """.matrix equals F' diag(phi) F built from the dense DFT, read-only and
+        expanded on each call."""
+        rng = np.random.default_rng(1)
+        for dim in (1, 2, 7, 64):
+            phases = _unit_phases(rng, dim)
+            u = validate_fourier_unitary(phases)
+            np.testing.assert_array_equal(u.phases, phases)
+            first = u.matrix
+            np.testing.assert_allclose(first, _dft_unitary(phases), rtol=0, atol=1e-12)
+            assert first is not u.matrix and not first.flags.writeable
+            assert u.dim == dim
+        assert validate_unitary(np.eye(2)).phases is None
+
+    def test_apply_matches_the_dense_unitary(self):
+        """U x, x U' and U x U' agree with the expanded matrix on stacks, and the
+        dense branch is the plain matrix products."""
+        rng = np.random.default_rng(2)
+        for dim in (2, 5, 16):
+            phases = _unit_phases(rng, dim)
+            declared, dense = validate_fourier_unitary(phases), validate_unitary(_dft_unitary(phases))
+            x = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+            cols = x[..., :2]
+            m = dense.matrix
+            np.testing.assert_allclose(apply_unitary(declared, cols), m @ cols, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(apply_unitary(declared, cols.swapaxes(-1, -2), "right"),
+                                       cols.swapaxes(-1, -2) @ m.conj().T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(apply_unitary(declared, x, "both"),
+                                       m @ x @ m.conj().T, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(apply_unitary(dense, cols), m @ cols)
+            np.testing.assert_array_equal(apply_unitary(dense, x, "both"), (m @ x) @ m.conj().T)
+
+    def test_unimodularity_is_checked_against_the_tolerance(self):
+        """A phase off the unit circle beyond the tolerance raises NotUnitary with
+        its residual; within it the phases are accepted."""
+        tol = Tolerances(validation=1e-6)
+        validate_fourier_unitary([1.0, 1j * (1 + 5e-7)], tol)
+        with pytest.raises(NotUnitary) as err:
+            validate_fourier_unitary([1.0, 1j, -1.001], tol)
+        assert err.value.residual == pytest.approx(1e-3)
+
+    def test_rejects_bad_phases(self):
+        """Empty, non-finite and 2-d phase inputs are refused."""
+        with pytest.raises(DimensionMismatch):
+            validate_fourier_unitary([])
+        for bad in ([1.0, np.nan], [np.inf, 1.0]):
+            with pytest.raises(ValidationError):
+                validate_fourier_unitary(bad)
+        with pytest.raises(DimensionMismatch):
+            validate_fourier_unitary(np.eye(2))
+
+
+class TestVectorStacks:
+    def test_columns_and_probabilities_match_dense_states(self):
+        """For W of rank r, kraus_columns reproduces sum_k A_k W W' A_k' and
+        vector_probabilities the outcome probabilities of W W', for declared
+        diagonal and dense instruments."""
+        rng = np.random.default_rng(3)
+        lib = spin_half_library()
+        dim = 2
+        w = rng.normal(size=(3, dim, 2)) + 1j * rng.normal(size=(3, dim, 2))
+        x = w @ w.conj().swapaxes(-1, -2)
+        for inst in (lib.fuzzy, lib.projective_z, lib.projective_x):
+            np.testing.assert_allclose(vector_probabilities(inst, w),
+                                       outcome_probabilities(inst, x), rtol=0, atol=1e-13)
+            for label in inst.labels:
+                idxs = [k for k, e in enumerate(inst.effects) if e.outcome_label == label]
+                cols = kraus_columns(inst, idxs, w)
+                assert cols.shape == (3, dim, 2 * len(idxs))
+                np.testing.assert_allclose(cols @ cols.conj().swapaxes(-1, -2),
+                                           apply_outcome(inst, label, x), rtol=0, atol=1e-13)

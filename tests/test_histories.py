@@ -4,13 +4,23 @@ import numpy as np
 import pytest
 
 from decohist import (
+    AXIS_DIRECTIONS,
     BudgetExceeded,
+    Effect,
+    GridSystem,
     HistorySpec,
+    ProtocolConfig,
     Step,
     SubsetInvalid,
     TRIVIAL_LABEL,
+    ValidationError,
     ZeroProbabilityOutcome,
+    check_kent,
+    check_measurement_based,
     decoherence_functional,
+    free_particle_unitary,
+    gaussian_instrument,
+    gaussian_wavepacket,
     grouped_diagonal,
     marginal_distribution,
     marginal_functional,
@@ -19,9 +29,17 @@ from decohist import (
     path_operator,
     posterior_state,
     random_spec,
+    run_protocol,
+    spin_direction_instrument,
     spin_half_library,
     trivial_instrument,
+    validate_density,
+    validate_fourier_unitary,
+    validate_instrument,
+    validate_unitary,
 )
+from decohist import histories
+from decohist.criteria import _haar_unitary
 
 
 def _xy_spec():
@@ -220,3 +238,168 @@ class TestTrivialInstrument:
         functional = decoherence_functional(spec)
         assert functional.n_paths == 2
         assert functional.labels == (("0", TRIVIAL_LABEL), ("1", TRIVIAL_LABEL))
+
+
+# ---------------------------------------------------------------------------
+# Declared pure states: every result must match the same state declared dense.
+# ---------------------------------------------------------------------------
+
+
+def _unequal_dense(dim, rng):
+    """Dense non-diagonal instrument whose label 'a' has two effects and 'b' one."""
+    iso = _haar_unitary(3 * dim, rng)[:, :dim]
+    blocks = [iso[k * dim:(k + 1) * dim] for k in range(3)]
+    return validate_instrument([Effect("a", 0, blocks[0]), Effect("a", 1, blocks[1]),
+                                Effect("b", 0, blocks[2])])
+
+
+def _unequal_diagonal(dim, rng):
+    """Declared-diagonal instrument with effects ('a', 0), ('a', 1) and ('b', 0)."""
+    d = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    d /= np.sqrt(np.sum(np.abs(d) ** 2, axis=0))
+    return validate_instrument([Effect("a", 0, d[0]), Effect("a", 1, d[1]), Effect("b", 0, d[2])])
+
+
+def _random_unitary(dim, rng, fourier):
+    if fourier:
+        return validate_fourier_unitary(np.exp(2j * np.pi * rng.random(dim)))
+    return validate_unitary(_haar_unitary(dim, rng))
+
+
+def _pure_specs():
+    """Seeded (declared, dense) pairs of specs with the same pure initial state,
+    dims 2-6, with diagonal, dense, direction and unequal-index instruments and
+    both kinds of unitary. Four measured steps make the vector rank outgrow
+    the dimension when three of them are forgotten."""
+    pairs = []
+    for dim in range(2, 7):
+        rng = np.random.default_rng(100 + dim)
+        bases = [random_spec(dim, 4, 2, kind=kind, seed=dim)
+                 for kind in ("generalized", "generalized_multi", "hermitian", "projective")]
+        mixed = []
+        for j in range(4):
+            inst = (_unequal_dense, _unequal_diagonal)[j % 2](dim, rng)
+            mixed.append(Step(_random_unitary(dim, rng, fourier=j % 2 == 0), inst))
+        bases.append(HistorySpec(initial=bases[0].initial, steps=tuple(mixed)))
+        if dim == 2:
+            lib = spin_half_library()
+            directions = spin_direction_instrument(AXIS_DIRECTIONS)
+            bases.append(HistorySpec(initial=lib.up_z, steps=(
+                Step(lib.hadamard, directions), Step(lib.identity, lib.fuzzy),
+                Step(_random_unitary(2, rng, fourier=True), directions))))
+        for base in bases:
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            psi /= np.linalg.norm(psi)
+            pairs.append(tuple(HistorySpec(initial=validate_density(state), steps=base.steps)
+                               for state in (psi, np.outer(psi, psi.conj()))))
+    return pairs
+
+
+def _all_subsets(spec):
+    measured = spec.measured_positions
+    return [tuple(p for j, p in enumerate(measured) if mask >> j & 1)
+            for mask in range(1 << len(measured))]
+
+
+def _assert_same_distribution(a, b):
+    assert list(a) == list(b)
+    np.testing.assert_allclose(list(a.values()), list(b.values()), rtol=0, atol=1e-12)
+
+
+def _kent_residual(spec):
+    """Kent's max residual, or the type of its refusal for non-Hermitian or
+    multi-index instruments."""
+    try:
+        return check_kent(spec).max_residual
+    except ValidationError as err:
+        return type(err)
+
+
+class TestDeclaredPureStates:
+    def test_distributions_match_dense_declaration(self, monkeypatch):
+        """Both label distributions and the channel-route marginal functional of
+        every subset agree within 1e-12 with the dense declaration, and some of
+        the walks outgrow the dimension and finish dense."""
+        switches = []
+        pure_step = histories._pure_step
+
+        def spy(inst, mode, vectors):
+            grown = pure_step(inst, mode, vectors)
+            switches.append(grown is None and mode != "pair")
+            return grown
+
+        monkeypatch.setattr(histories, "_pure_step", spy)
+        for declared, dense in _pure_specs():
+            assert declared.initial.vector is not None and dense.initial.vector is None
+            for subset in _all_subsets(declared):
+                _assert_same_distribution(marginal_distribution(declared, subset),
+                                          marginal_distribution(dense, subset))
+                _assert_same_distribution(omitted_distribution(declared, subset),
+                                          omitted_distribution(dense, subset))
+                np.testing.assert_allclose(marginal_functional(declared, subset).values,
+                                           marginal_functional(dense, subset).values,
+                                           rtol=0, atol=1e-12)
+        assert any(switches) and not all(switches)
+
+    def test_criteria_and_exact_protocol_match_dense_declaration(self):
+        """D, the measurement-based residuals, Kent where it applies and the exact
+        protocol agree within 1e-12 with the dense declaration."""
+        for declared, dense in _pure_specs():
+            np.testing.assert_allclose(decoherence_functional(declared).values,
+                                       decoherence_functional(dense).values,
+                                       rtol=0, atol=1e-12)
+            reports = [check_measurement_based(spec) for spec in (declared, dense)]
+            assert reports[0].verdict == reports[1].verdict
+            for (s, a), (t, b) in zip(reports[0].per_subset, reports[1].per_subset):
+                assert s == t and abs(a - b) <= 1e-12
+            kent = [_kent_residual(spec) for spec in (declared, dense)]
+            if isinstance(kent[0], float):
+                assert abs(kent[0] - kent[1]) <= 1e-12
+            else:
+                assert kent[0] is kent[1]
+            for subset in ((1,), (1, 3)):
+                exact = [run_protocol(ProtocolConfig(spec, subset, 10, 0), mode="exact")
+                         for spec in (declared, dense)]
+                _assert_same_distribution(exact[0].dist_with, exact[1].dist_with)
+                _assert_same_distribution(exact[0].dist_without, exact[1].dist_without)
+                assert abs(exact[0].exact_tv - exact[1].exact_tv) <= 1e-12
+
+
+def _echo_spec(n_points, half, width, n_centers):
+    """Free-particle echo at spread = width with n_centers centers width / 2 apart."""
+    grid = GridSystem(n_points=n_points, x_min=-half, x_max=half)
+    t = float(np.sqrt(width**2 - 1.0))
+    inst = gaussian_instrument(grid, width, (np.arange(n_centers) - n_centers // 2) * width / 2)
+    return HistorySpec(initial=gaussian_wavepacket(grid, 0.0, 1.0), steps=(
+        Step(free_particle_unitary(grid, 1.0, t), inst),
+        Step(free_particle_unitary(grid, 1.0, -t), inst)))
+
+
+class TestPathVectorFunctional:
+    def test_grid_echo_matches_dense_declaration(self):
+        """On a 64-point echo with 23 centers (529 paths), D from path vectors is
+        within 1e-12 of D built from the dense state and dense unitaries."""
+        declared = _echo_spec(64, 16.0, 2.0, 23)
+        dense = HistorySpec(
+            initial=validate_density(declared.initial.matrix),
+            steps=tuple(Step(validate_unitary(s.unitary.matrix), s.instrument)
+                        for s in declared.steps))
+        values = decoherence_functional(declared).values
+        assert values.shape == (529, 529)
+        np.testing.assert_allclose(values, decoherence_functional(dense).values,
+                                   rtol=0, atol=1e-12)
+
+    def test_grid_echo_functional_memory(self):
+        """A 512-point echo with 23 centers builds its 529-path D below 64 MB of
+        traced allocations; the dense path-operator stack alone would be 2.2 GB."""
+        import tracemalloc
+
+        spec = _echo_spec(512, 128.0, 16.0, 23)
+        tracemalloc.start()
+        try:
+            functional = decoherence_functional(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert functional.n_paths == 529
+        assert peak < 64 * 2**20, f"peak {peak} bytes"

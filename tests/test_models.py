@@ -229,6 +229,47 @@ class TestDeclaredDiagonalModels:
         assert lib.fuzzy.kind == "generalized"
 
 
+class TestDeclaredGridModels:
+    def test_wavepacket_declares_its_vector(self):
+        """The packet is declared pure; its matrix is the outer product of the
+        normalized Gaussian profile."""
+        grid = GridSystem(n_points=64, x_min=-16.0, x_max=16.0)
+        rho = gaussian_wavepacket(grid, center=1.0, sigma=1.5)
+        profile = np.exp(-((grid.positions - 1.0) ** 2) / (4 * 1.5**2))
+        psi = profile / np.linalg.norm(profile)
+        np.testing.assert_allclose(rho.vector, psi, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rho.matrix, np.outer(psi, psi), rtol=0, atol=1e-15)
+
+    def test_free_particle_declares_its_phases(self):
+        """The propagator is declared by its DFT phases, and its matrix is within
+        1e-12 of F' diag(phase) F built from the dense DFT matrix."""
+        for n, mass, t in ((64, 1.0, 2.5), (128, 0.5, -3.7), (256, 2.0, 40.0)):
+            grid = GridSystem(n_points=n, x_min=-32.0, x_max=32.0)
+            u = free_particle_unitary(grid, mass=mass, time=t)
+            p = 2 * np.pi * np.fft.fftfreq(n, d=grid.h)
+            phase = np.exp(-1j * t * p**2 / mass)
+            np.testing.assert_allclose(u.phases, phase, rtol=0, atol=1e-15)
+            fourier = np.fft.fft(np.eye(n), axis=0, norm="ortho")
+            expected = fourier.conj().T @ (phase[:, np.newaxis] * fourier)
+            np.testing.assert_allclose(u.matrix, expected, rtol=0, atol=1e-12)
+
+    def test_no_grid_square_is_built(self):
+        """At 4,096 points the packet and the propagator peak below 1 MB of
+        traced allocations; one d x d complex matrix would be 256 MiB."""
+        import tracemalloc
+
+        grid = GridSystem(n_points=4096, x_min=-128.0, x_max=128.0)
+        tracemalloc.start()
+        try:
+            rho = gaussian_wavepacket(grid, center=0.0, sigma=1.0)
+            u = free_particle_unitary(grid, mass=1.0, time=10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rho.dim == u.dim == 4096
+        assert peak < 2**20, f"peak {peak} bytes"
+
+
 class TestFreeParticle:
     def test_zero_time_is_identity(self):
         """Zero evolution time gives the identity."""

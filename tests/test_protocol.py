@@ -13,11 +13,15 @@ import decohist
 from decohist import (
     AXIS_DIRECTIONS,
     DEFAULT_TOLERANCES,
+    GridSystem,
     HistorySpec,
     ProtocolConfig,
     Step,
     ValidationError,
     apply_channel,
+    free_particle_unitary,
+    gaussian_instrument,
+    gaussian_wavepacket,
     interference_circuit,
     marginal_distribution,
     omitted_distribution,
@@ -169,11 +173,21 @@ class TestSampleHistory:
             assert count / shots == pytest.approx(0.25, abs=0.02)
 
 
+def _grid_echo_spec():
+    """64-point free-particle echo: declared pure packet, Fourier-diagonal unitaries."""
+    grid = GridSystem(n_points=64, x_min=-16.0, x_max=16.0)
+    inst = gaussian_instrument(grid, 2.0, np.arange(-11.0, 11.5, 1.0))
+    t = float(np.sqrt(3.0))
+    return HistorySpec(initial=gaussian_wavepacket(grid, 0.0, 1.0), steps=(
+        Step(free_particle_unitary(grid, 1.0, t), inst),
+        Step(free_particle_unitary(grid, 1.0, -t), inst)))
+
+
 class TestBatchedSampler:
     def test_counts_equal_per_trajectory_loop(self):
         """_sample_counts equals a Counter of sample_history over the same stream."""
         specs = [_xy_spec(), _direction_spec(), interference_circuit(),
-                 interference_circuit(classical=True)]
+                 interference_circuit(classical=True), _grid_echo_spec()]
         for kind in ("projective", "generalized", "generalized_multi", "hermitian"):
             for seed in range(3):
                 specs.append(random_spec(2 + seed, 3, 2, kind=kind, seed=seed))
